@@ -58,7 +58,9 @@ func (ex *Executor) runContextStream(ctx context.Context, p planner.Plan, emit A
 	root, _, stop := ex.buildStream(p, c)
 	defer stop()
 
-	answers := make([]kg.Answer, 0, p.K)
+	// p.K only bounds the answer count (a caller may pass math.MaxInt), so
+	// presize modestly and let append grow.
+	answers := make([]kg.Answer, 0, min(p.K, 64))
 	var err error
 	for len(answers) < p.K {
 		if ctxErr := ctx.Err(); ctxErr != nil {

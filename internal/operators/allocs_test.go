@@ -206,22 +206,22 @@ func TestMutatedStoreScanZeroAllocsAfterCompact(t *testing.T) {
 	}
 }
 
-// TestListScanSkipsDedupMap asserts the fast-path predicate itself: no seen
-// map on provably duplicate-free patterns, a seen map as soon as duplicates
-// or out-of-varset variables make one necessary.
+// TestListScanSkipsDedupMap asserts the fast-path predicate itself: no dedup
+// keyer on provably duplicate-free patterns, one as soon as duplicates or
+// out-of-varset variables make the seen set necessary.
 func TestListScanSkipsDedupMap(t *testing.T) {
 	st := dupFreeStore(t)
 	ty, _ := st.Dict().Lookup("type")
 	pat := kg.NewPattern(kg.Var("s"), kg.Const(ty), kg.Var("o"))
 	vs := kg.NewVarSet(kg.NewQuery(pat))
-	if s := NewListScan(st, vs, pat, 1, 0, nil); s.seen != nil {
-		t.Fatal("duplicate-free pattern should not carry a dedup map")
+	if s := NewListScan(st, vs, pat, 1, 0, nil); s.keyer != nil {
+		t.Fatal("duplicate-free pattern should not dedup")
 	}
 	// A pattern variable outside the query's variable set collapses
 	// distinct triples onto one binding — dedup must be on.
 	fresh := kg.NewPattern(kg.Var("s"), kg.Const(ty), kg.Var("zzz_not_in_query"))
-	if s := NewListScan(st, vs, fresh, 1, 0, nil); s.seen == nil {
-		t.Fatal("out-of-varset variable requires the dedup map")
+	if s := NewListScan(st, vs, fresh, 1, 0, nil); s.keyer == nil {
+		t.Fatal("out-of-varset variable requires dedup")
 	}
 	// Semantics stay correct: the fresh-var scan dedups to distinct subjects.
 	es := Drain(NewListScan(st, vs, fresh, 1, 0, nil))
@@ -232,4 +232,87 @@ func TestListScanSkipsDedupMap(t *testing.T) {
 		}
 		subjects[e.Binding[0]] = true
 	}
+}
+
+// TestIncrementalMergeResetSteadyZeroAllocs guards the merge's own state: the
+// index heap, the head slots and the dedup set are all reused across Reset,
+// so once a first drain has sized them, restarting and draining the merge
+// allocates nothing. DrainK over the same merge costs exactly its output
+// slice.
+func TestIncrementalMergeResetSteadyZeroAllocs(t *testing.T) {
+	st := dupFreeStore(t)
+	d := st.Dict()
+	ty, _ := d.Lookup("type")
+	likes, _ := d.Lookup("likes")
+	pat := kg.NewPattern(kg.Var("s"), kg.Const(ty), kg.Var("o"))
+	vs := kg.NewVarSet(kg.NewQuery(pat))
+	m := NewIncrementalMerge([]Stream{
+		NewListScan(st, vs, pat, 1, 0, nil),
+		NewListScan(st, vs, kg.NewPattern(kg.Var("s"), kg.Const(likes), kg.Var("o")), 0.8, 1, nil),
+		NewListScan(st, vs, kg.NewPattern(kg.Var("s"), kg.Var("p"), kg.Var("o")), 0.5, 1, nil),
+	}, nil)
+	const k = 1000
+	n := len(DrainK(m, k))
+	if n == 0 {
+		t.Fatal("merge produced nothing")
+	}
+	count := func(Entry) bool { return true }
+	if allocs := testing.AllocsPerRun(50, func() {
+		m.Reset()
+		if EmitK(m, k, count) != n {
+			t.Fatal("drain changed length after Reset")
+		}
+	}); allocs != 0 {
+		t.Fatalf("steady-state merge: %v allocs per Reset+drain, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		m.Reset()
+		DrainK(m, k)
+	}); allocs != 1 {
+		t.Fatalf("steady-state Reset+DrainK: %v allocs, want 1 (the output slice)", allocs)
+	}
+}
+
+// TestRankJoinAllocsIndependentOfKeys guards the join tables against costing
+// an allocation per distinct join key: each side's slab, chain links and
+// open-addressed table double when full, so a full drain over 16x more
+// distinct keys may add one allocation per structure per doubling
+// (log2 16 = 4 doublings, plus one where a size boundary falls) and nothing
+// per key.
+func TestRankJoinAllocsIndependentOfKeys(t *testing.T) {
+	// Left binds keys 0..n-1, right binds n-8..2n-9: every key lands in a
+	// table, and exactly eight of them join.
+	sides := func(n int) (l, r *sliceStream) {
+		ids := func(from int) ([]kg.ID, []float64) {
+			out, sc := make([]kg.ID, n), make([]float64, n)
+			for i := range out {
+				out[i] = kg.ID(from + i)
+				sc[i] = 1 - float64(i)/float64(n)
+			}
+			return out, sc
+		}
+		lids, lsc := ids(0)
+		rids, rsc := ids(n - 8)
+		return joinStream(lids, lsc, 1, 0, 0), joinStream(rids, rsc, 1, 0, 0)
+	}
+	count := func(Entry) bool { return true }
+	allocs := func(n int) float64 {
+		l, r := sides(n)
+		return testing.AllocsPerRun(20, func() {
+			l.Reset()
+			r.Reset()
+			if got := EmitK(NewRankJoin(l, r, []int{0}, nil), n, count); got != 8 {
+				t.Fatalf("%d keys: %d results, want 8", n, got)
+			}
+		})
+	}
+	const small, big = 256, 16 * 256
+	a, b := allocs(small), allocs(big)
+	// Growing structures: two sides x (slab, links, table).
+	const perDoubling, doublings = 6, 4 + 1
+	if b-a > perDoubling*doublings {
+		t.Fatalf("drain over %d keys: %v allocs, over %d keys: %v — %v more, want <= %d",
+			small, a, big, b, b-a, perDoubling*doublings)
+	}
+	t.Logf("allocs per drain: %v at %d keys, %v at %d keys", a, small, b, big)
 }

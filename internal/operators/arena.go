@@ -68,12 +68,13 @@ func (a *bindingArena) bytes() int64 {
 	return n * 8
 }
 
-// The operator queues are hand-rolled binary max-heaps rather than
-// container/heap adapters because heap.Push/Pop box every element in an
-// interface{} — one heap allocation per buffered join result — and the
-// interface indirection defeats inlining of the comparison. One generic
-// implementation serves both element types (join-result Entries and k-way
-// merge heads); ordering comes from the element's heapLess method.
+// NRJN's result queue and ShardedListScan's k-way merge are binary max-heaps
+// of whole elements rather than container/heap adapters, because
+// heap.Push/Pop box every element in an interface{} and the interface
+// indirection defeats inlining of the comparison. RankJoin and
+// IncrementalMerge keep index heaps of their own (resultQueue,
+// IncrementalMerge.order) with the same sift steps. Ordering comes from the
+// element's heapLess method.
 
 // heapLesser orders heap elements; x.heapLess(y) means x sorts strictly
 // before (above) y.

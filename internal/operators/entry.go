@@ -198,9 +198,11 @@ func EmitK(s Stream, k int, emit EmitFunc) int {
 	return n
 }
 
-// DrainK pulls at most k entries from the stream.
+// DrainK pulls at most k entries from the stream. k is only an upper bound:
+// the output is presized to at most 64 entries and grows by append, so a huge
+// k costs what the stream actually yields.
 func DrainK(s Stream, k int) []Entry {
-	out := make([]Entry, 0, k)
+	out := make([]Entry, 0, min(k, 64))
 	EmitK(s, k, func(e Entry) bool {
 		out = append(out, e)
 		return true

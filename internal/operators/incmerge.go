@@ -16,9 +16,11 @@ import (
 // The implementation is a lazy k-way heap merge: each input advances only
 // when its current head is globally next, so lists whose relaxation weight is
 // low are barely read — this is exactly what makes TriniT cheaper than the
-// naive evaluate-everything baseline. Dedup is integer-keyed (packed
-// kg.BindingKeys) and the head heap is hand-rolled, so steady-state merging
-// allocates nothing beyond what the inputs themselves produce.
+// naive evaluate-everything baseline. Input i's current head lives in cur[i]
+// and the heap orders input indexes, so advancing an input sifts 4-byte
+// indexes rather than whole entries; dedup is a keyTab set over packed
+// kg.BindingKeys. Steady-state merging allocates nothing beyond what the
+// inputs themselves produce.
 type IncrementalMerge struct {
 	inputs []Stream
 	// nonResettable is the index of the first input that does not implement
@@ -26,8 +28,9 @@ type IncrementalMerge struct {
 	// It is established at construction so a Reset on an unresettable merge
 	// fails with a diagnostic instead of a bare type-assertion panic.
 	nonResettable int
-	heads         []mergeHead
-	seen          map[kg.BindingKey]bool
+	cur           []Entry // cur[i]: input i's current head
+	order         []int32 // heap of input indexes with a head, best first
+	seen          keyTab  // set form: keys of emitted bindings
 	keyer         *kg.Keyer
 	counter       *Counter
 	pulls         int  // input pulls since the last abort poll
@@ -38,19 +41,6 @@ type IncrementalMerge struct {
 	stats         *trace.Node // nil unless the execution is traced
 }
 
-type mergeHead struct {
-	entry Entry
-	src   int
-}
-
-// heapLess orders heads by score descending with input index as tie-break.
-func (h mergeHead) heapLess(o mergeHead) bool {
-	if h.entry.Score != o.entry.Score {
-		return h.entry.Score > o.entry.Score
-	}
-	return h.src < o.src
-}
-
 // NewIncrementalMerge merges the given streams. Inputs must each be sorted by
 // score descending; stream 0 is conventionally the original pattern. The
 // counter records merged-entry creations.
@@ -58,7 +48,8 @@ func NewIncrementalMerge(inputs []Stream, c *Counter) *IncrementalMerge {
 	m := &IncrementalMerge{
 		inputs:        inputs,
 		nonResettable: -1,
-		seen:          make(map[kg.BindingKey]bool),
+		cur:           make([]Entry, len(inputs)),
+		order:         make([]int32, 0, len(inputs)),
 		keyer:         kg.NewKeyer(),
 		counter:       c,
 	}
@@ -81,11 +72,12 @@ func (m *IncrementalMerge) prime() {
 	m.primed = true
 	for i, in := range m.inputs {
 		if e, ok := in.Next(); ok {
-			heapPush(&m.heads, mergeHead{entry: e, src: i})
+			m.cur[i] = e
+			m.push(int32(i))
 		}
 	}
-	if len(m.heads) > 0 {
-		m.top = m.heads[0].entry.Score
+	if len(m.order) > 0 {
+		m.top = m.cur[m.order[0]].Score
 	}
 	m.last = m.top
 	m.stats.SetTop(m.top)
@@ -110,7 +102,7 @@ func (m *IncrementalMerge) Bound() float64 {
 // AbortStride pulls (see RankJoin.Next) and reports exhaustion when it fires.
 func (m *IncrementalMerge) Next() (Entry, bool) {
 	m.prime()
-	for len(m.heads) > 0 {
+	for len(m.order) > 0 {
 		if m.aborted {
 			return Entry{}, false
 		}
@@ -125,26 +117,28 @@ func (m *IncrementalMerge) Next() (Entry, bool) {
 		}
 		m.pulls++
 		m.stats.Pull()
-		h := m.heads[0]
-		if e, ok := m.inputs[h.src].Next(); ok {
-			m.heads[0] = mergeHead{entry: e, src: h.src}
-			heapFixRoot(m.heads)
+		src := m.order[0]
+		h := m.cur[src]
+		if e, ok := m.inputs[src].Next(); ok {
+			m.cur[src] = e
 		} else {
-			heapPop(&m.heads)
+			m.cur[src] = Entry{}
+			n := len(m.order) - 1
+			m.order[0] = m.order[n]
+			m.order = m.order[:n]
 		}
-		key := m.keyer.Key(h.entry.Binding)
-		if m.seen[key] {
+		m.fixRoot()
+		if !m.seen.add(m.keyer.Key(h.Binding)) {
 			m.stats.DedupDrop()
 			continue
 		}
-		m.seen[key] = true
-		m.last = h.entry.Score
+		m.last = h.Score
 		m.counter.Inc()
 		if m.stats != nil {
 			m.stats.Emit()
-			m.stats.SampleBound(h.entry.Score)
+			m.stats.SampleBound(h.Score)
 		}
-		return h.entry, true
+		return h, true
 	}
 	m.last = 0
 	return Entry{}, false
@@ -167,9 +161,53 @@ func (m *IncrementalMerge) Reset() {
 	for _, in := range m.inputs {
 		in.(Resettable).Reset()
 	}
-	m.heads = m.heads[:0]
-	clear(m.seen)
+	clear(m.cur)
+	m.order = m.order[:0]
+	m.seen.reset()
 	m.keyer.Reset()
 	m.primed = false
 	m.last = 0
+}
+
+// less orders inputs by head score descending, input index ascending on ties.
+func (m *IncrementalMerge) less(a, b int32) bool {
+	if sa, sb := m.cur[a].Score, m.cur[b].Score; sa != sb {
+		return sa > sb
+	}
+	return a < b
+}
+
+func (m *IncrementalMerge) push(i int32) {
+	m.order = append(m.order, i)
+	h := m.order
+	for j := len(h) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !m.less(h[j], h[p]) {
+			break
+		}
+		h[j], h[p] = h[p], h[j]
+		j = p
+	}
+}
+
+// fixRoot restores the heap after the root input's head changed or the root
+// was replaced by the last input.
+func (m *IncrementalMerge) fixRoot() {
+	h := m.order
+	n := len(h)
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		s := i
+		if l < n && m.less(h[l], h[s]) {
+			s = l
+		}
+		if r < n && m.less(h[r], h[s]) {
+			s = r
+		}
+		if s == i {
+			return
+		}
+		h[i], h[s] = h[s], h[i]
+		i = s
+	}
 }

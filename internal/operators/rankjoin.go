@@ -16,10 +16,11 @@ import (
 //
 // allows (Ilyas et al.). Hash tables on the join key hold the entries seen so
 // far; a priority queue buffers join results until they are provably final.
-// All per-entry bookkeeping is integer-keyed: join keys and emitted-binding
-// keys are packed kg.BindingKeys, merged bindings come from a slab arena, and
-// the result queue is a hand-rolled heap — so the join itself allocates only
-// for table/queue growth, never per probe.
+// Every structure is index-addressed: each side is an append-only entry slab
+// chained per join key through an open-addressed keyTab, the emitted set is
+// the same table's set form, merged bindings come from a slab arena, and the
+// result queue is a heap of slab indexes — so the join allocates only when a
+// slab or table doubles, never per probe or per key.
 type RankJoin struct {
 	left, right Stream
 	joinVars    []int // variable indexes bound on both sides
@@ -31,9 +32,9 @@ type RankJoin struct {
 	joinKeyer         *kg.Keyer
 	emitKeyer         *kg.Keyer
 	arena             bindingArena
-	leftTab, rightTab map[kg.BindingKey][]Entry
-	queue             []Entry
-	emitted           map[kg.BindingKey]bool
+	leftTab, rightTab joinTab
+	queue             resultQueue
+	emitted           keyTab // set form: keys of emitted bindings
 	leftDone          bool
 	rightDone         bool
 	pullLeft          bool // alternation state
@@ -56,9 +57,6 @@ func NewRankJoin(left, right Stream, joinVars []int, c *Counter) *RankJoin {
 		counter:   c,
 		joinKeyer: kg.NewProjKeyer(joinVars),
 		emitKeyer: kg.NewKeyer(),
-		leftTab:   make(map[kg.BindingKey][]Entry),
-		rightTab:  make(map[kg.BindingKey][]Entry),
-		emitted:   make(map[kg.BindingKey]bool),
 	}
 	if c.Tracing() {
 		rj.stats = trace.NewNode("RankJoin")
@@ -125,8 +123,8 @@ func (rj *RankJoin) TopScore() float64 {
 func (rj *RankJoin) Bound() float64 {
 	rj.prime()
 	t := rj.threshold()
-	if len(rj.queue) > 0 && rj.queue[0].Score > t {
-		t = rj.queue[0].Score
+	if rj.queue.len() > 0 && rj.queue.top().Score > t {
+		t = rj.queue.top().Score
 	}
 	if t > rj.last {
 		t = rj.last
@@ -172,9 +170,9 @@ func (rj *RankJoin) pullOne() bool {
 			return !rj.rightDone
 		}
 		key := rj.joinKeyer.Key(e.Binding)
-		rj.leftTab[key] = append(rj.leftTab[key], e)
-		for _, o := range rj.rightTab[key] {
-			rj.enqueue(e, o)
+		rj.leftTab.add(key, e)
+		for i := rj.rightTab.tab.head(key); i >= 0; i = rj.rightTab.next[i] {
+			rj.enqueue(e, rj.rightTab.ents[i])
 		}
 	} else {
 		e, ok := rj.right.Next()
@@ -183,9 +181,9 @@ func (rj *RankJoin) pullOne() bool {
 			return !rj.leftDone
 		}
 		key := rj.joinKeyer.Key(e.Binding)
-		rj.rightTab[key] = append(rj.rightTab[key], e)
-		for _, o := range rj.leftTab[key] {
-			rj.enqueue(o, e)
+		rj.rightTab.add(key, e)
+		for i := rj.leftTab.tab.head(key); i >= 0; i = rj.leftTab.next[i] {
+			rj.enqueue(rj.leftTab.ents[i], e)
 		}
 	}
 	return true
@@ -202,7 +200,83 @@ func (rj *RankJoin) enqueue(l, r Entry) {
 	}
 	rj.counter.Inc()
 	rj.stats.Created()
-	heapPush(&rj.queue, joined)
+	rj.queue.push(joined)
+}
+
+// joinTab is one side's hash table: an append-only entry slab, chained per
+// join key in insertion order by next links and a keyTab in chain form.
+type joinTab struct {
+	ents []Entry
+	next []int32 // slab index of the next entry with the same key, or -1
+	tab  keyTab
+}
+
+func (j *joinTab) add(k kg.BindingKey, e Entry) {
+	i := int32(len(j.ents))
+	j.ents = append(grow2(j.ents), e)
+	j.next = append(grow2(j.next), -1)
+	if prev := j.tab.push(k, i); prev >= 0 {
+		j.next[prev] = i
+	}
+}
+
+// resultQueue buffers join results until they are provably final: an
+// append-only entry slab and a binary heap of slab indexes ordered by
+// Entry.heapLess. It sifts 4-byte indexes instead of whole entries, with the
+// same comparisons and swaps as a heap of the entries themselves, so equal
+// results pop in the same order.
+type resultQueue struct {
+	ents []Entry
+	heap []int32
+}
+
+func (q *resultQueue) len() int { return len(q.heap) }
+
+// top returns the best buffered result; the queue must not be empty.
+func (q *resultQueue) top() *Entry { return &q.ents[q.heap[0]] }
+
+func (q *resultQueue) less(a, b int32) bool { return q.ents[a].heapLess(q.ents[b]) }
+
+func (q *resultQueue) push(e Entry) {
+	q.ents = append(grow2(q.ents), e)
+	q.heap = append(grow2(q.heap), int32(len(q.ents)-1))
+	h := q.heap
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// pop removes and returns the best result, zeroing its slab slot so the
+// queue retains no binding it has handed out.
+func (q *resultQueue) pop() Entry {
+	h := q.heap
+	best := h[0]
+	e := q.ents[best]
+	q.ents[best] = Entry{}
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	q.heap = h
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		s := i
+		if l < n && q.less(h[l], h[s]) {
+			s = l
+		}
+		if r < n && q.less(h[r], h[s]) {
+			s = r
+		}
+		if s == i {
+			return e
+		}
+		h[i], h[s] = h[s], h[i]
+		i = s
+	}
 }
 
 // Next implements Stream.
@@ -228,14 +302,12 @@ func (rj *RankJoin) Next() (Entry, bool) {
 				return Entry{}, false
 			}
 		}
-		if t := rj.threshold(); len(rj.queue) > 0 && rj.queue[0].Score >= t-1e-12 {
-			e := heapPop(&rj.queue)
-			key := rj.emitKeyer.Key(e.Binding)
-			if rj.emitted[key] {
+		if t := rj.threshold(); rj.queue.len() > 0 && rj.queue.top().Score >= t-1e-12 {
+			e := rj.queue.pop()
+			if !rj.emitted.add(rj.emitKeyer.Key(e.Binding)) {
 				rj.stats.DedupDrop()
 				continue
 			}
-			rj.emitted[key] = true
 			rj.last = e.Score
 			rj.cert = t
 			if rj.stats != nil {
@@ -251,14 +323,12 @@ func (rj *RankJoin) Next() (Entry, bool) {
 			// Inputs exhausted: flush the queue. The corner bound over unseen
 			// results has collapsed (no unseen inputs remain), so every flushed
 			// entry certifies at zero.
-			for len(rj.queue) > 0 {
-				e := heapPop(&rj.queue)
-				key := rj.emitKeyer.Key(e.Binding)
-				if rj.emitted[key] {
+			for rj.queue.len() > 0 {
+				e := rj.queue.pop()
+				if !rj.emitted.add(rj.emitKeyer.Key(e.Binding)) {
 					rj.stats.DedupDrop()
 					continue
 				}
-				rj.emitted[key] = true
 				rj.last = e.Score
 				rj.cert = 0
 				if rj.stats != nil {
@@ -315,4 +385,16 @@ func PatternBoundVars(vs *kg.VarSet, p kg.Pattern) map[int]bool {
 		}
 	}
 	return out
+}
+
+// grow2 doubles a full slab's capacity. append alone grows large slices by
+// about 1.25x, which over a slab's life allocates five times its final size
+// and copies four; doubling allocates twice and copies once.
+func grow2[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	t := make([]T, len(s), max(2*len(s), 16))
+	copy(t, s)
+	return t
 }

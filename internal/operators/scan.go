@@ -12,7 +12,7 @@ import (
 // and tagged with the relaxed-pattern bit. It deduplicates bindings when —
 // and only when — duplicates are possible (two identical triples with
 // different raw scores keep the higher, which comes first in the sorted
-// list); patterns that provably cannot repeat a binding skip the dedup map
+// list); patterns that provably cannot repeat a binding skip the dedup set
 // entirely.
 //
 // The scan binds each candidate triple into a reusable scratch binding and
@@ -40,12 +40,13 @@ type ListScan struct {
 	scratch kg.Binding // reused across candidates; cloned only on emit
 	arena   bindingArena
 
-	// seen is nil when the pattern provably cannot produce duplicate
-	// bindings: the store holds no duplicate (s,p,o) triples and every
-	// position is a constant or a variable of the query's variable set (so
-	// any two distinct triples differ in some captured position).
-	seen  map[kg.BindingKey]bool
+	// keyer is nil, and seen unused, when the pattern provably cannot
+	// produce duplicate bindings: the store holds no duplicate (s,p,o)
+	// triples and every position is a constant or a variable of the query's
+	// variable set (so any two distinct triples differ in some captured
+	// position).
 	keyer *kg.Keyer
+	seen  keyTab // set form: keys of emitted bindings
 
 	last float64
 	top  float64
@@ -127,7 +128,6 @@ func newListScanOver(store kg.Graph, vs *kg.VarSet, p kg.Pattern, weight float64
 		}
 	}
 	if dedup {
-		s.seen = make(map[kg.BindingKey]bool)
 		// Key only the slots this pattern binds — every other position is
 		// NoID in all of the scan's bindings — so patterns of ≤2 variables
 		// stay on the packed, allocation-free path.
@@ -191,13 +191,9 @@ func (s *ListScan) Next() (Entry, bool) {
 		if !s.bind(t) {
 			continue
 		}
-		if s.seen != nil {
-			key := s.keyer.Key(s.scratch)
-			if s.seen[key] {
-				s.stats.DedupDrop()
-				continue
-			}
-			s.seen[key] = true
+		if s.keyer != nil && !s.seen.add(s.keyer.Key(s.scratch)) {
+			s.stats.DedupDrop()
+			continue
 		}
 		score := 0.0
 		if s.max > 0 {
@@ -223,8 +219,8 @@ func (s *ListScan) Reset() {
 	s.pos = 0
 	s.last = s.top
 	s.arena.reset()
-	if s.seen != nil {
-		clear(s.seen)
+	if s.keyer != nil {
+		s.seen.reset()
 		s.keyer.Reset()
 	}
 }

@@ -278,3 +278,53 @@ func TestEngineQueryContext(t *testing.T) {
 		t.Fatal("unknown mode accepted")
 	}
 }
+
+// TestHugeKReturnsEveryAnswer pins that k is an upper bound, not a size: with
+// k = math.MaxInt every entry point returns the whole answer set instead of
+// failing to allocate k slots up front.
+func TestHugeKReturnsEveryAnswer(t *testing.T) {
+	eng, q := engineFixture(t)
+	ctx := context.Background()
+	for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeExact, ModeNaive} {
+		want, err := eng.Query(q, 1000, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Answers) == 0 {
+			t.Fatalf("%v: fixture has no answers", mode)
+		}
+		query, err := eng.Query(q, math.MaxInt, mode)
+		if err != nil {
+			t.Fatalf("%v Query: %v", mode, err)
+		}
+		qctx, err := eng.QueryContext(ctx, q, math.MaxInt, mode)
+		if err != nil {
+			t.Fatalf("%v QueryContext: %v", mode, err)
+		}
+		var streamed []Answer
+		qs, err := eng.QueryStream(ctx, q, math.MaxInt, mode, func(a Answer) bool {
+			streamed = append(streamed, a)
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%v QueryStream: %v", mode, err)
+		}
+		batch, err := eng.QueryBatch(ctx, []Query{q}, math.MaxInt, mode)
+		if err != nil || batch[0].Err != nil {
+			t.Fatalf("%v QueryBatch: %v / %v", mode, err, batch[0].Err)
+		}
+		for name, got := range map[string][]Answer{
+			"Query": query.Answers, "QueryContext": qctx.Answers, "QueryStream": qs.Answers,
+			"QueryStream (emitted)": streamed, "QueryBatch": batch[0].Result.Answers,
+		} {
+			if len(got) != len(want.Answers) {
+				t.Fatalf("%v %s: %d answers, want all %d", mode, name, len(got), len(want.Answers))
+			}
+			for i := range got {
+				if got[i].Score != want.Answers[i].Score {
+					t.Fatalf("%v %s: answer %d score %v, want %v", mode, name, i, got[i].Score, want.Answers[i].Score)
+				}
+			}
+		}
+	}
+}
