@@ -12,6 +12,7 @@
 package exec
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"time"
@@ -176,38 +177,16 @@ func (ex *Executor) buildStream(p planner.Plan, c *operators.Counter) (operators
 	}
 	stop := func() {}
 	if ex.Parallel && len(streams) > 1 {
-		stopCh := make(chan struct{})
-		var once sync.Once
-		stop = func() { once.Do(func() { close(stopCh) }) }
-		for i := range streams {
-			streams[i] = operators.NewPrefetch(streams[i], operators.DefaultPrefetchDepth, stopCh)
-		}
+		stop = operators.PrefetchAll(streams, operators.DefaultPrefetchDepth)
 	}
 	return operators.LeftDeep(streams, vars, c), vs, stop
 }
 
-// Run executes plan p and returns the top-k answers (k from the plan).
+// Run executes plan p and returns the top-k answers (k from the plan): the
+// shared drain path with a context that never cancels and no emitter.
 func (ex *Executor) Run(p planner.Plan) Result {
-	c := &operators.Counter{}
-	start := time.Now()
-	root, _, stop := ex.buildStream(p, c)
-	// Deferred, not inline: a panic out of the drain must still release the
-	// legs' prefetch goroutines, or each one stays blocked on its buffer
-	// send for the process lifetime.
-	defer stop()
-	entries := operators.DrainK(root, p.K)
-	elapsed := time.Since(start)
-
-	answers := make([]kg.Answer, len(entries))
-	for i, e := range entries {
-		answers[i] = kg.Answer{Binding: e.Binding, Score: e.Score, Relaxed: e.Relaxed}
-	}
-	return Result{
-		Answers:       answers,
-		MemoryObjects: c.Value(),
-		ExecTime:      elapsed,
-		Plan:          p,
-	}
+	res, _ := ex.runContextStream(context.Background(), p, nil, false)
+	return res
 }
 
 // TriniT executes q with the non-speculative baseline plan.

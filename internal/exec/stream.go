@@ -44,6 +44,12 @@ func (ex *Executor) RunContextTraced(ctx context.Context, p planner.Plan, emit A
 	return ex.runContextStream(ctx, p, emit, true)
 }
 
+// runContextStream is the one drain path: Run, RunContext, RunContextStream
+// and RunContextTraced all execute here. The operators draw their slabs from
+// one workspace per execution, released once the drain is over; every answer
+// is copied out of it as it is emitted, so Result.Answers and the answers
+// handed to emit own their bindings and stay valid after the workspace is
+// reused by a later query.
 func (ex *Executor) runContextStream(ctx context.Context, p planner.Plan, emit AnswerEmitFunc, traced bool) (Result, error) {
 	c := &operators.Counter{}
 	// Installed before buildStream so the prefetch goroutines observe the
@@ -54,13 +60,21 @@ func (ex *Executor) runContextStream(ctx context.Context, p planner.Plan, emit A
 		// construction, observing the flag through the same edge.
 		c.EnableTracing()
 	}
+	ws := operators.AcquireWorkspace()
+	c.SetWorkspace(ws)
 	start := time.Now()
 	root, _, stop := ex.buildStream(p, c)
+	// Deferred as well as called below: a panic out of the drain must still
+	// stop the legs' prefetch goroutines, or each one stays blocked on its
+	// buffer send for the process lifetime. Such a panic skips ws.Release, so
+	// the workspace is dropped rather than reused while something may still
+	// reference it.
 	defer stop()
 
 	// p.K only bounds the answer count (a caller may pass math.MaxInt), so
 	// presize modestly and let append grow.
 	answers := make([]kg.Answer, 0, min(p.K, 64))
+	var ids []kg.ID // result-owned backing of the answers' bindings
 	var err error
 	for len(answers) < p.K {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -77,6 +91,16 @@ func (ex *Executor) runContextStream(ctx context.Context, p planner.Plan, emit A
 			err = ctx.Err()
 			break
 		}
+		if n := len(e.Binding); n > 0 {
+			if len(ids)+n > cap(ids) {
+				// Earlier answers keep pointing into the old backing.
+				ids = make([]kg.ID, 0, n*max(2*len(answers), min(p.K, 64)))
+			}
+			b := ids[len(ids) : len(ids)+n : len(ids)+n]
+			copy(b, e.Binding)
+			ids = ids[:len(ids)+n]
+			e.Binding = b
+		}
 		a := kg.Answer{Binding: e.Binding, Score: e.Score, Relaxed: e.Relaxed}
 		answers = append(answers, a)
 		if emit != nil && !emit(a) {
@@ -89,6 +113,7 @@ func (ex *Executor) runContextStream(ctx context.Context, p planner.Plan, emit A
 		ExecTime:      time.Since(start),
 		Plan:          p,
 	}
+	stop()
 	if traced {
 		res.Trace = &trace.Trace{
 			K:             p.K,
@@ -98,6 +123,7 @@ func (ex *Executor) runContextStream(ctx context.Context, p planner.Plan, emit A
 			Root:          operators.TraceTree(root),
 		}
 	}
+	ws.Release()
 	return res, err
 }
 

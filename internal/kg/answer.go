@@ -176,6 +176,27 @@ func bindPattern(vs *VarSet, p Pattern, t Triple, b Binding) (Binding, bool) {
 	return b, false
 }
 
+// bindInto is bindPattern without the clone: it overwrites nb, which must
+// not alias b, with b extended by t's bindings and reports whether t matched.
+func bindInto(vs *VarSet, p Pattern, t Triple, b, nb Binding) bool {
+	copy(nb, b)
+	set := func(term Term, v ID) bool {
+		if !term.IsVar {
+			return term.ID == v
+		}
+		i := vs.Index(term.Name)
+		if i < 0 {
+			return false
+		}
+		if nb[i] != NoID {
+			return nb[i] == v
+		}
+		nb[i] = v
+		return true
+	}
+	return set(p.S, t.S) && set(p.P, t.P) && set(p.O, t.O)
+}
+
 // Evaluate computes the complete answer set of q with Definition 6 scoring
 // (sum of per-pattern normalised scores). It is used by the naive baseline,
 // by exact cardinality computation, and by tests as ground truth. Patterns

@@ -270,28 +270,40 @@ func countAnswers(g matcher, q Query) int {
 // countDerivations counts complete derivations without deduplication —
 // exact on duplicate-free stores, where derivations and bindings are in
 // bijection. level0 plays the same shard fan-out role as in collectAnswers.
+//
+// Each join level owns one binding and one candidate callback, built before
+// the search: a level rewrites its binding for every candidate, and no
+// deeper level touches it, so the count allocates per level rather than per
+// derivation.
 func countDerivations(g matcher, q Query, vs *VarSet, order []int, level0 func(Pattern, func(Triple))) int {
 	n := 0
-	var rec func(step int, b Binding)
-	rec = func(step int, b Binding) {
+	bs := make([]Binding, len(order)+1) // bs[step]: binding entering level step
+	for i := range bs {
+		bs[i] = NewBinding(vs.Len())
+	}
+	var rec func(step int)
+	emits := make([]func(Triple), len(order))
+	for step, pi := range order {
+		p := q.Patterns[pi]
+		emits[step] = func(t Triple) {
+			if bindInto(vs, p, t, bs[step], bs[step+1]) {
+				rec(step + 1)
+			}
+		}
+	}
+	rec = func(step int) {
 		if step == len(order) {
 			n++
 			return
 		}
-		p := q.Patterns[order[step]]
-		emit := func(t Triple) {
-			if nb, ok := bindPattern(vs, p, t, b); ok {
-				rec(step+1, nb)
-			}
-		}
-		sub := substPattern(p, vs, b)
+		sub := substPattern(q.Patterns[order[step]], vs, bs[step])
 		if step == 0 && level0 != nil {
-			level0(sub, emit)
+			level0(sub, emits[step])
 		} else {
-			g.forCandidates(sub, emit)
+			g.forCandidates(sub, emits[step])
 		}
 	}
-	rec(0, NewBinding(vs.Len()))
+	rec(0)
 	return n
 }
 

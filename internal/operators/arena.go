@@ -12,11 +12,13 @@ const arenaChunkEntries = 256
 // arenaChunkEntries entries — and zero after reset, which reuses slabs.
 // Bindings returned by clone are invalidated by reset; only resettable
 // operators reset, and Resettable documents that Reset invalidates
-// previously returned entries.
+// previously returned entries. Slabs, and the list of them, come from ws when
+// it is set, so they are also invalidated when the workspace is released.
 type bindingArena struct {
 	chunks [][]kg.ID // every slab ever allocated, reused across resets
 	ci     int       // slab currently being filled
 	off    int       // filled prefix of chunks[ci]
+	ws     *Workspace
 }
 
 // clone copies b into the arena and returns the copy, capacity-clamped so a
@@ -27,19 +29,24 @@ func (a *bindingArena) clone(b kg.Binding) kg.Binding {
 		return kg.Binding{}
 	}
 	if len(a.chunks) == 0 {
-		a.chunks = append(a.chunks, make([]kg.ID, n*arenaChunkEntries))
+		a.addChunk(n)
 	}
 	if a.off+n > len(a.chunks[a.ci]) {
 		a.ci++
 		a.off = 0
 		if a.ci == len(a.chunks) {
-			a.chunks = append(a.chunks, make([]kg.ID, n*arenaChunkEntries))
+			a.addChunk(n)
 		}
 	}
 	dst := a.chunks[a.ci][a.off : a.off+n : a.off+n]
 	copy(dst, b)
 	a.off += n
 	return kg.Binding(dst)
+}
+
+// addChunk appends a slab of arenaChunkEntries bindings of width n.
+func (a *bindingArena) addChunk(n int) {
+	a.chunks = append(grow2(a.ws.chunkPool(), a.chunks), a.ws.idPool().get(n*arenaChunkEntries))
 }
 
 // merge clones l and overlays r's bound positions — Binding.Merge without

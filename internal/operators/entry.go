@@ -55,6 +55,9 @@ type Counter struct {
 	// the default — operators carry a nil node and every recording call is a
 	// single nil check, keeping the hot path at 0 allocs/op and bit-identical.
 	tracing bool
+	// ws supplies the operators' growable slabs (see Workspace); nil means
+	// plain allocation. Set once before stream construction, like abort.
+	ws *Workspace
 }
 
 // AbortStride is the pull-loop polling interval for the abort hook: operators
@@ -90,6 +93,22 @@ func (c *Counter) EnableTracing() {
 // execution statistics. Nil counters never trace.
 func (c *Counter) Tracing() bool {
 	return c != nil && c.tracing
+}
+
+// SetWorkspace makes operators built against this counter draw their slabs
+// from w. Call it before the operator tree is built.
+func (c *Counter) SetWorkspace(w *Workspace) {
+	if c != nil {
+		c.ws = w
+	}
+}
+
+// Workspace returns the execution's workspace; nil counters have none.
+func (c *Counter) Workspace() *Workspace {
+	if c == nil {
+		return nil
+	}
+	return c.ws
 }
 
 // Inc records the creation of one answer object.

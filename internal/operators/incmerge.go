@@ -50,6 +50,7 @@ func NewIncrementalMerge(inputs []Stream, c *Counter) *IncrementalMerge {
 		nonResettable: -1,
 		cur:           make([]Entry, len(inputs)),
 		order:         make([]int32, 0, len(inputs)),
+		seen:          keyTab{ws: c.Workspace()},
 		keyer:         kg.NewKeyer(),
 		counter:       c,
 	}

@@ -17,11 +17,13 @@ import (
 //
 // Slots store slab index + 1, so a zero slot is empty and reset is one clear
 // that keeps the slots: a resettable operator's steady state allocates
-// nothing. The zero value is an empty table; slots are allocated on first use.
+// nothing. The zero value is an empty table; slots are allocated on first use,
+// from ws when it is set.
 type keyTab struct {
 	slots []keySlot
 	n     int  // occupied slots
 	shift uint // 64 - log2(len(slots))
+	ws    *Workspace
 }
 
 type keySlot struct {
@@ -63,13 +65,17 @@ func (t *keyTab) claim(k kg.BindingKey) *keySlot {
 func (t *keyTab) grow() {
 	old := t.slots
 	size := max(2*len(old), keyTabMinSlots)
-	t.slots = make([]keySlot, size)
+	t.slots = t.ws.slotPool().get(size)
+	if t.ws != nil {
+		clear(t.slots) // a pooled slab keeps its last table's slots
+	}
 	t.shift = 64 - uint(bits.TrailingZeros(uint(size)))
 	for _, s := range old {
 		if s.head != 0 {
 			*t.find(s.key) = s
 		}
 	}
+	t.ws.slotPool().put(old)
 }
 
 // push chains slab index i under k. It returns the chain's previous tail,

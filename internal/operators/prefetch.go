@@ -1,5 +1,7 @@
 package operators
 
+import "sync"
+
 // Prefetch pulls entries from an inner stream on a background goroutine into
 // a bounded buffer, so independent join legs produce entries concurrently
 // while the rank join consumes them. It is *observationally identical* to
@@ -13,7 +15,9 @@ package operators
 // The inner stream must be self-contained after construction (all leg
 // streams — scans, merges, answer scans — are): it is consumed exclusively
 // by the background goroutine. Entries stay valid because leg streams only
-// recycle bindings on Reset, which the prefetched pipeline never calls.
+// recycle bindings on Reset, which the prefetched pipeline never calls, and
+// the executor releases the workspace they draw on only once PrefetchAll's
+// stop has returned.
 // Prefetch is deliberately not Resettable.
 type Prefetch struct {
 	ch    chan prefetched
@@ -24,6 +28,8 @@ type Prefetch struct {
 	// the wrapped operator's stats; Next never touches it (the background
 	// goroutine owns consumption).
 	inner Stream
+	// exited is closed when the background goroutine returns.
+	exited chan struct{}
 }
 
 type prefetched struct {
@@ -39,20 +45,29 @@ const DefaultPrefetchDepth = 64
 
 // NewPrefetch starts prefetching s. Closing stop terminates the background
 // goroutine (used by the executor when the top-k is reached before the legs
-// are exhausted); consumers must not call Next afterwards.
+// are exhausted): it checks stop before each pull, so at most the pull in
+// flight completes. Consumers must not call Next afterwards; PrefetchAll's
+// stop function also waits for the goroutine to exit.
 func NewPrefetch(s Stream, depth int, stop <-chan struct{}) *Prefetch {
 	if depth < 1 {
 		depth = 1
 	}
 	p := &Prefetch{
-		ch:    make(chan prefetched, depth),
-		top:   s.TopScore(),
-		inner: s,
+		ch:     make(chan prefetched, depth),
+		top:    s.TopScore(),
+		inner:  s,
+		exited: make(chan struct{}),
 	}
 	p.bound = s.Bound()
 	go func() {
+		defer close(p.exited)
 		defer close(p.ch)
 		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			e, ok := s.Next()
 			item := prefetched{e: e, bound: s.Bound(), ok: ok}
 			select {
@@ -66,6 +81,29 @@ func NewPrefetch(s Stream, depth int, stop <-chan struct{}) *Prefetch {
 		}
 	}()
 	return p
+}
+
+// PrefetchAll replaces each stream with a Prefetch of it, all sharing one
+// stop signal, and returns the function that stops them. Stopping returns
+// only once every background goroutine has exited, so no stream is pulled
+// after it returns and the memory the streams draw on can be reused. It is
+// idempotent and safe to call from several goroutines.
+func PrefetchAll(streams []Stream, depth int) (stop func()) {
+	ch := make(chan struct{})
+	ps := make([]*Prefetch, len(streams))
+	for i, s := range streams {
+		ps[i] = NewPrefetch(s, depth, ch)
+		streams[i] = ps[i]
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			close(ch)
+			for _, p := range ps {
+				<-p.exited
+			}
+		})
+	}
 }
 
 // TopScore implements Stream.

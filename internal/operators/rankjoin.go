@@ -20,7 +20,8 @@ import (
 // chained per join key through an open-addressed keyTab, the emitted set is
 // the same table's set form, merged bindings come from a slab arena, and the
 // result queue is a heap of slab indexes — so the join allocates only when a
-// slab or table doubles, never per probe or per key.
+// slab or table doubles, never per probe or per key, and not even then when
+// its Counter carries a warm Workspace.
 type RankJoin struct {
 	left, right Stream
 	joinVars    []int // variable indexes bound on both sides
@@ -50,6 +51,7 @@ type RankJoin struct {
 // NewRankJoin joins left and right on the given shared variable indexes
 // (indexes into the query's VarSet; compute them with JoinVars).
 func NewRankJoin(left, right Stream, joinVars []int, c *Counter) *RankJoin {
+	ws := c.Workspace()
 	rj := &RankJoin{
 		left:      left,
 		right:     right,
@@ -57,6 +59,11 @@ func NewRankJoin(left, right Stream, joinVars []int, c *Counter) *RankJoin {
 		counter:   c,
 		joinKeyer: kg.NewProjKeyer(joinVars),
 		emitKeyer: kg.NewKeyer(),
+		arena:     bindingArena{ws: ws},
+		leftTab:   joinTab{tab: keyTab{ws: ws}},
+		rightTab:  joinTab{tab: keyTab{ws: ws}},
+		queue:     resultQueue{ws: ws},
+		emitted:   keyTab{ws: ws},
 	}
 	if c.Tracing() {
 		rj.stats = trace.NewNode("RankJoin")
@@ -208,13 +215,13 @@ func (rj *RankJoin) enqueue(l, r Entry) {
 type joinTab struct {
 	ents []Entry
 	next []int32 // slab index of the next entry with the same key, or -1
-	tab  keyTab
+	tab  keyTab  // its ws is the workspace of ents and next too
 }
 
 func (j *joinTab) add(k kg.BindingKey, e Entry) {
 	i := int32(len(j.ents))
-	j.ents = append(grow2(j.ents), e)
-	j.next = append(grow2(j.next), -1)
+	j.ents = append(grow2(j.tab.ws.entryPool(), j.ents), e)
+	j.next = append(grow2(j.tab.ws.indexPool(), j.next), -1)
 	if prev := j.tab.push(k, i); prev >= 0 {
 		j.next[prev] = i
 	}
@@ -228,6 +235,7 @@ func (j *joinTab) add(k kg.BindingKey, e Entry) {
 type resultQueue struct {
 	ents []Entry
 	heap []int32
+	ws   *Workspace
 }
 
 func (q *resultQueue) len() int { return len(q.heap) }
@@ -238,8 +246,8 @@ func (q *resultQueue) top() *Entry { return &q.ents[q.heap[0]] }
 func (q *resultQueue) less(a, b int32) bool { return q.ents[a].heapLess(q.ents[b]) }
 
 func (q *resultQueue) push(e Entry) {
-	q.ents = append(grow2(q.ents), e)
-	q.heap = append(grow2(q.heap), int32(len(q.ents)-1))
+	q.ents = append(grow2(q.ws.entryPool(), q.ents), e)
+	q.heap = append(grow2(q.ws.indexPool(), q.heap), int32(len(q.ents)-1))
 	h := q.heap
 	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -385,16 +393,4 @@ func PatternBoundVars(vs *kg.VarSet, p kg.Pattern) map[int]bool {
 		}
 	}
 	return out
-}
-
-// grow2 doubles a full slab's capacity. append alone grows large slices by
-// about 1.25x, which over a slab's life allocates five times its final size
-// and copies four; doubling allocates twice and copies once.
-func grow2[T any](s []T) []T {
-	if len(s) < cap(s) {
-		return s
-	}
-	t := make([]T, len(s), max(2*len(s), 16))
-	copy(t, s)
-	return t
 }

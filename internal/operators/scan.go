@@ -97,6 +97,8 @@ func newListScanOver(store kg.Graph, vs *kg.VarSet, p kg.Pattern, weight float64
 		list:    list,
 		max:     max,
 		scratch: kg.NewBinding(vs.Len()),
+		arena:   bindingArena{ws: c.Workspace()},
+		seen:    keyTab{ws: c.Workspace()},
 	}
 	dedup := store.HasDuplicates()
 	for i, term := range [3]kg.Term{p.S, p.P, p.O} {
