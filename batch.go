@@ -17,9 +17,7 @@ type BatchResult struct {
 // QueryBatch executes queries concurrently on a bounded worker pool and
 // returns one BatchResult per query, in input order. All queries run with
 // the same k and mode. Concurrency is Options.BatchWorkers (GOMAXPROCS when
-// unset); ModeSpecQP queries share the engine's LRU plan cache, so batches
-// with recurring query shapes — the paper's workload of template-generated
-// queries — plan once per shape instead of once per query.
+// unset); each query runs exactly as QueryContext would run it.
 //
 // Per-query failures (empty query, cancellation mid-batch) are reported in
 // the corresponding BatchResult.Err; the returned error is non-nil only for
@@ -82,23 +80,10 @@ func (e *Engine) QueryBatchStream(ctx context.Context, queries []Query, k int, m
 					qi := qi
 					perQuery = func(a Answer) bool { return emit(qi, a) }
 				}
-				results[qi].Result, results[qi].Err = e.queryOne(ctx, queries[qi], k, mode, perQuery)
+				results[qi].Result, results[qi].Err = e.run(ctx, queries[qi], k, mode, perQuery, false)
 			}
 		}()
 	}
 	wg.Wait()
 	return results, nil
-}
-
-// queryOne executes a single query for QueryBatchStream. ModeSpecQP goes
-// through the plan cache; the other modes have no planning stage to share and
-// delegate to QueryStream.
-func (e *Engine) queryOne(ctx context.Context, q Query, k int, mode Mode, emit AnswerEmitter) (Result, error) {
-	if len(q.Patterns) == 0 {
-		return Result{}, fmt.Errorf("specqp: empty query")
-	}
-	if mode != ModeSpecQP {
-		return e.QueryStream(ctx, q, k, mode, emit)
-	}
-	return e.exec.SpecQPContextStream(ctx, e.livePlans(), q, k, emit)
 }

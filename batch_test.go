@@ -10,7 +10,7 @@ import (
 )
 
 // batchFixture builds an engine plus a workload of shape-recurring queries,
-// the setting QueryBatch's plan cache is designed for.
+// the template-generated workload QueryBatch serves.
 func batchFixture(t *testing.T) (*Engine, []Query) {
 	t.Helper()
 	st := NewStore()
@@ -117,8 +117,8 @@ func TestQueryBatchCancelled(t *testing.T) {
 // TestQueryBatchHammer is the -race workhorse from the issue: many
 // goroutines issue overlapping QueryBatch calls while others hammer
 // residual-cache misses (S+O-bound patterns) on the same cold store, so the
-// sharded single-flight cache, the plan cache, and the batch pool are all
-// exercised together.
+// sharded single-flight cache, the statistics catalog, and the batch pool
+// are all exercised together.
 func TestQueryBatchHammer(t *testing.T) {
 	eng, queries := batchFixture(t)
 	st := eng.Store()

@@ -149,6 +149,12 @@ func BenchmarkTable4Twitter(b *testing.B) {
 // Figures 6–9: per (k, group, engine) series. The figure's y-axes (time and
 // memory objects) map to ns/op and the mem-objects metric.
 
+// runPlan executes p to completion through the executor's single entry.
+func runPlan(ex *exec.Executor, p planner.Plan) exec.Result {
+	res, _ := ex.Run(context.Background(), p, exec.RunOpts{})
+	return res
+}
+
 func benchFigure(b *testing.B, ds *datagen.Dataset, byRelaxed bool) {
 	ex := exec.New(ds.Store, ds.Rules)
 	cat := stats.NewCatalog(ds.Store, 2, nil)
@@ -178,7 +184,7 @@ func benchFigure(b *testing.B, ds *datagen.Dataset, byRelaxed bool) {
 			b.Run(fmt.Sprintf("k=%d/%s=%d/TriniT", k, label, g), func(b *testing.B) {
 				var mem int64
 				for i := 0; i < b.N; i++ {
-					res := ex.TriniT(ds.Queries[idxs[i%len(idxs)]].Query, k)
+					res := runPlan(ex, planner.TriniTPlan(ds.Queries[idxs[i%len(idxs)]].Query, k))
 					mem += res.MemoryObjects
 				}
 				b.ReportMetric(float64(mem)/float64(b.N), "mem-objects")
@@ -186,7 +192,7 @@ func benchFigure(b *testing.B, ds *datagen.Dataset, byRelaxed bool) {
 			b.Run(fmt.Sprintf("k=%d/%s=%d/SpecQP", k, label, g), func(b *testing.B) {
 				var mem int64
 				for i := 0; i < b.N; i++ {
-					res := ex.SpecQP(pl, ds.Queries[idxs[i%len(idxs)]].Query, k)
+					res := runPlan(ex, pl.Plan(ds.Queries[idxs[i%len(idxs)]].Query, k))
 					mem += res.MemoryObjects
 				}
 				b.ReportMetric(float64(mem)/float64(b.N), "mem-objects")
@@ -312,8 +318,7 @@ func BenchmarkAblationRankJoin(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Batch query API: sequential Engine.Query against Engine.QueryBatch at
 // several pool widths, over the same workload. The ns/op ratio is the
-// multi-core speedup; the shared LRU plan cache additionally amortises
-// PLANGEN across the workload's recurring query shapes.
+// multi-core speedup: each batched query runs exactly as a sequential one.
 
 func BenchmarkQueryBatch(b *testing.B) {
 	xkg, _ := benchDatasets(b)
@@ -532,8 +537,8 @@ func BenchmarkPrecisionAgainstTruth(b *testing.B) {
 	var exact, n int
 	for i := 0; i < b.N; i++ {
 		qs := xkg.Queries[i%len(xkg.Queries)]
-		tr := ex.TriniT(qs.Query, 10)
-		sp := ex.SpecQP(pl, qs.Query, 10)
+		tr := runPlan(ex, planner.TriniTPlan(qs.Query, 10))
+		sp := runPlan(ex, pl.Plan(qs.Query, 10))
 		prec += metrics.Precision(sp.Answers, tr.Answers, 10)
 		if metrics.PredictionExact(sp.Plan.RelaxMask(), metrics.RequiredRelaxations(tr.Answers, 10)) {
 			exact++

@@ -230,14 +230,6 @@ func writeCSVs(dir, name string, outs []harness.Outcome) error {
 	})
 }
 
-// runBatchComparison times the dataset's whole query workload through
-// sequential Engine.Query and through Engine.QueryBatch with the given
-// worker count, printing wall-clock times and the resulting speedup. A
-// warm-up pass down each path first fills the store's match-list caches,
-// the statistics catalog and QueryBatch's plan cache (sequential Query has
-// no plan cache and replans every time), so the measured gap is what the
-// batch API actually buys: execution concurrency plus per-shape plan
-// amortisation.
 // runShardedComparison times the dataset's query workload sequentially over
 // the flat layout and over a sharded engine (parallel per-shard merge scans
 // plus concurrent join legs), printing the per-query wall-clock speedup.
@@ -735,6 +727,12 @@ func runChurnComparison(ds *datagen.Dataset, churn, shards int) error {
 	return nil
 }
 
+// runBatchComparison times the dataset's whole query workload through
+// sequential Engine.Query and through Engine.QueryBatch with the given
+// worker count, printing wall-clock times and the resulting speedup. A
+// warm-up pass down each path first fills the store's match-list caches and
+// the statistics catalog, so the measured gap is what the batch API actually
+// buys: execution concurrency.
 func runBatchComparison(ds *datagen.Dataset, workers, shards int) error {
 	eng := specqp.NewEngineWith(ds.Store, ds.Rules, specqp.Options{BatchWorkers: workers, Shards: shards})
 	queries := make([]specqp.Query, len(ds.Queries))
@@ -766,7 +764,7 @@ func runBatchComparison(ds *datagen.Dataset, workers, shards int) error {
 	if _, err := runSeq(); err != nil { // warm match-list caches and the statistics catalog
 		return err
 	}
-	if _, err := runBatch(); err != nil { // warm the batch path's plan cache
+	if _, err := runBatch(); err != nil { // warm the batch path the same way
 		return err
 	}
 	seq, err := runSeq()

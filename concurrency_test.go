@@ -97,7 +97,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 
 // TestShardedQueryBatchHammer is the sharded concurrency hammer: QueryBatch
 // over a multi-segment engine under -race, with a query mix that hits every
-// shared structure at once — recurring shapes exercise the LRU plan cache,
+// shared structure at once — recurring shapes share the statistics catalog,
 // S+O-bound and repeated-variable patterns exercise each shard's residual
 // single-flight cache plus the sharded store's merged-list cache, and plain
 // patterns run through the per-shard merge scans and leg prefetchers. Every
@@ -138,7 +138,7 @@ func TestShardedQueryBatchHammer(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		e0, _ := d.Lookup(fmt.Sprintf("e%03d", i*13))
 		queries = append(queries,
-			// Recurring two-pattern shape: plan-cache hits across the batch.
+			// Recurring two-pattern shape: shared catalog entries across the batch.
 			NewQuery(typePat(i), typePat((i+1)%7)),
 			// Join through linksTo: per-shard merge paths on both legs.
 			NewQuery(typePat(i), NewPattern(Var("s"), Const(links), Var("o"))),
@@ -159,7 +159,7 @@ func TestShardedQueryBatchHammer(t *testing.T) {
 		refAnswers[i] = res.Answers
 	}
 
-	eng := NewEngineWith(st, rules, Options{Shards: 4, BatchWorkers: 8, PlanCacheSize: 16})
+	eng := NewEngineWith(st, rules, Options{Shards: 4, BatchWorkers: 8})
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {

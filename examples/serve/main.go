@@ -155,7 +155,7 @@ func main() {
 	for _, line := range strings.Split(get(base+"/metrics"), "\n") {
 		if strings.HasPrefix(line, "specqp_requests_") || strings.HasPrefix(line, "specqp_shed_") ||
 			strings.HasPrefix(line, "specqp_streamed_") || strings.HasPrefix(line, "specqp_first_answer_latency_p") ||
-			strings.HasPrefix(line, "specqp_engine_live_") || strings.HasPrefix(line, "specqp_engine_plan_cache_") {
+			strings.HasPrefix(line, "specqp_engine_live_") || strings.HasPrefix(line, "specqp_engine_list_cache_") {
 			fmt.Printf("    %s\n", line)
 		}
 	}

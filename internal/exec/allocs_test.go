@@ -50,7 +50,7 @@ func TestRunAllocsIndependentOfPulls(t *testing.T) {
 		ex, p := drainWorld(t, n)
 		var objects int64
 		a := testing.AllocsPerRun(20, func() {
-			res := ex.Run(p)
+			res := run(ex, p)
 			if len(res.Answers) != 8 {
 				t.Fatalf("n=%d: %d answers, want 8", n, len(res.Answers))
 			}
@@ -82,7 +82,7 @@ func TestRunAllocsRetainNothingAfterGC(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for range 50 {
-		if res := ex.Run(p); len(res.Answers) != 8 {
+		if res := run(ex, p); len(res.Answers) != 8 {
 			t.Fatalf("%d answers, want 8", len(res.Answers))
 		}
 	}

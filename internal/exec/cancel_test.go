@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"specqp/internal/planner"
 )
 
 // pollCtx is a context whose Err flips to Canceled after a fixed number of
@@ -38,7 +40,7 @@ func TestRunContextCancelMidQuery(t *testing.T) {
 	ex := New(w.st, w.rules)
 	q := w.randomQuery(rng, 3)
 
-	full, err := ex.TriniTContext(context.Background(), q, 100000)
+	full, err := ex.Run(context.Background(), planner.TriniTPlan(q, 100000), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestRunContextCancelMidQuery(t *testing.T) {
 	}
 
 	ctx := &pollCtx{Context: context.Background(), allow: 1}
-	trunc, err := ex.TriniTContext(ctx, q, 100000)
+	trunc, err := ex.Run(ctx, planner.TriniTPlan(q, 100000), RunOpts{})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -72,11 +74,11 @@ func TestRunContextCompletionBeatsLateCancel(t *testing.T) {
 	// the context is by then cancellable, a completed top-k must not be
 	// retroactively failed.
 	ctx := &pollCtx{Context: context.Background(), allow: 1 << 40}
-	res, err := ex.TriniTContext(ctx, q, 1)
+	res, err := ex.Run(ctx, planner.TriniTPlan(q, 1), RunOpts{})
 	if err != nil {
 		t.Fatalf("completed run reported %v", err)
 	}
-	ref := ex.TriniT(q, 1)
+	ref := run(ex, planner.TriniTPlan(q, 1))
 	if len(res.Answers) != len(ref.Answers) {
 		t.Fatalf("answers %d vs %d", len(res.Answers), len(ref.Answers))
 	}

@@ -59,7 +59,7 @@ func chainWorld(t *testing.T) (*kg.Store, *relax.RuleSet, kg.Query) {
 func TestChainRelaxationTriniT(t *testing.T) {
 	st, rules, q := chainWorld(t)
 	ex := New(st, rules)
-	res := ex.TriniT(q, 10)
+	res := run(ex, planner.TriniTPlan(q, 10))
 	// Answers: zed via the direct fact; alice and bob via the chain.
 	if len(res.Answers) != 3 {
 		t.Fatalf("answers: got %d want 3", len(res.Answers))
@@ -84,7 +84,7 @@ func TestChainRelaxationTriniTMatchesNaive(t *testing.T) {
 	st, rules, q := chainWorld(t)
 	ex := New(st, rules)
 	for _, k := range []int{1, 2, 3, 10} {
-		tr := ex.TriniT(q, k)
+		tr := run(ex, planner.TriniTPlan(q, k))
 		nv := ex.Naive(q, k, 0)
 		if len(tr.Answers) != len(nv.Answers) {
 			t.Fatalf("k=%d: TriniT %d vs Naive %d answers", k, len(tr.Answers), len(nv.Answers))
@@ -102,14 +102,14 @@ func TestChainRelaxationSpecQP(t *testing.T) {
 	ex := New(st, rules)
 	pl := planner.New(stats.NewCatalog(st, 2, nil), rules)
 	// Original query has 1 answer; at k=3 the chain must be speculated.
-	res := ex.SpecQP(pl, q, 3)
+	res := run(ex, pl.Plan(q, 3))
 	if got := res.Plan.RelaxMask(); got&0b10 == 0 {
 		t.Fatalf("chain pattern not relaxed: mask %b", got)
 	}
 	if len(res.Answers) != 3 {
 		t.Fatalf("answers: got %d want 3", len(res.Answers))
 	}
-	tr := ex.TriniT(q, 3)
+	tr := run(ex, planner.TriniTPlan(q, 3))
 	for i := range tr.Answers {
 		if math.Abs(res.Answers[i].Score-tr.Answers[i].Score) > 1e-9 {
 			t.Fatalf("rank %d: spec %v vs trinit %v", i, res.Answers[i].Score, tr.Answers[i].Score)

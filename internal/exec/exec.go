@@ -1,14 +1,21 @@
 // Package exec executes query plans over the kg store using the operators
-// package. It provides the three engines the evaluation compares:
+// package. Executor.Run is the one execution entry: it builds the operator
+// tree for a plan — a sorted scan per join-group pattern, an Incremental
+// Merge over the pattern and its relaxations per singleton, left-deep rank
+// joins over the legs — and drains it to the plan's k. The engines the
+// evaluation compares differ only in the plan the caller hands it:
 //
-//   - TriniT: the non-speculative baseline — every triple pattern and all of
-//     its relaxations flow through an Incremental Merge, joined by rank joins
-//     (Section 2.1, Figure 2);
-//   - Spec-QP: the speculative plan — the join group is executed as left-deep
-//     rank joins over the original patterns' sorted lists, only the
-//     singletons get Incremental Merges (Section 3.2.2, Figure 5);
-//   - Naive: evaluate every relaxed query completely, merge, sort, cut at k
-//     (the strawman costed at 48 queries in the paper's Introduction).
+//   - TriniT (planner.TriniTPlan): the non-speculative baseline — every
+//     pattern is a singleton (Section 2.1, Figure 2);
+//   - Spec-QP (planner.Planner.Plan): the speculative plan — only the
+//     patterns PLANGEN predicts can reach the top-k are singletons
+//     (Section 3.2.2, Figure 5); the caller times planning into
+//     Result.PlanTime;
+//   - Exact (planner.ExactPlan): no singletons, the unrelaxed top-k.
+//
+// Naive is the evaluate-everything reference: every relaxed query evaluated
+// completely, merged, sorted and cut at k (the strawman costed at 48 queries
+// in the paper's Introduction).
 package exec
 
 import (
@@ -37,8 +44,26 @@ type Result struct {
 	// Plan is the executed plan.
 	Plan planner.Plan
 	// Trace is the per-operator execution trace — nil unless the run was
-	// traced (RunContextTraced); untraced runs pay nothing for it.
+	// traced (RunOpts.Trace); untraced runs pay nothing for it.
 	Trace *trace.Trace
+}
+
+// AnswerEmitFunc receives answers the instant the operator tree proves them
+// final — for rank-join plans, the moment the corner bound drops to the
+// answer's score, which is typically long before the full top-k is known.
+// Returning false stops the execution early; no further operator pulls happen
+// after a false return.
+type AnswerEmitFunc func(kg.Answer) bool
+
+// RunOpts selects what a Run does besides computing the top-k.
+type RunOpts struct {
+	// Emit, when non-nil, receives each answer as the operators prove it
+	// final (see AnswerEmitFunc).
+	Emit AnswerEmitFunc
+	// Trace makes the operators record per-instance execution statistics,
+	// compiled into Result.Trace as a plan-shaped tree. Tracing never changes
+	// what is executed — same answers, same order — only what is recorded.
+	Trace bool
 }
 
 // Executor runs plans against one store + rule set.
@@ -182,43 +207,96 @@ func (ex *Executor) buildStream(p planner.Plan, c *operators.Counter) (operators
 	return operators.LeftDeep(streams, vars, c), vs, stop
 }
 
-// Run executes plan p and returns the top-k answers (k from the plan): the
-// shared drain path with a context that never cancels and no emitter.
-func (ex *Executor) Run(p planner.Plan) Result {
-	res, _ := ex.runContextStream(context.Background(), p, nil, false)
-	return res
-}
+// Run executes plan p and returns its top-k answers (k from the plan). It
+// honours ctx inside the operator pull loops, not just between answers: the
+// counter's abort hook is polled every operators.AbortStride input pulls, so
+// a cancelled run stops within a bounded number of probes even when the next
+// answer would require draining an input. On cancellation the partial result
+// — every answer already produced — is returned together with ctx.Err(); an
+// emitter returning false truncates with a nil error (the consumer chose to
+// stop; nothing failed). Result.Answers always equals the sequence handed to
+// the emitter, so streaming and buffered callers observe one sequence by
+// construction.
+//
+// The operators draw their slabs from one workspace per execution, released
+// once the drain is over; every answer is copied out of it as it is emitted,
+// so Result.Answers and the answers handed to the emitter own their bindings
+// and stay valid after the workspace is reused by a later query.
+func (ex *Executor) Run(ctx context.Context, p planner.Plan, o RunOpts) (Result, error) {
+	c := &operators.Counter{}
+	// Installed before buildStream so the prefetch goroutines observe the
+	// hook through their creation edge; ctx.Err is safe for concurrent use.
+	c.SetAbort(func() bool { return ctx.Err() != nil })
+	if o.Trace {
+		// Also before buildStream: operators allocate their trace nodes at
+		// construction, observing the flag through the same edge.
+		c.EnableTracing()
+	}
+	ws := operators.AcquireWorkspace()
+	c.SetWorkspace(ws)
+	start := time.Now()
+	root, _, stop := ex.buildStream(p, c)
+	// Deferred as well as called below: a panic out of the drain must still
+	// stop the legs' prefetch goroutines, or each one stays blocked on its
+	// buffer send for the process lifetime. Such a panic skips ws.Release, so
+	// the workspace is dropped rather than reused while something may still
+	// reference it.
+	defer stop()
 
-// TriniT executes q with the non-speculative baseline plan.
-func (ex *Executor) TriniT(q kg.Query, k int) Result {
-	return ex.Run(planner.TriniTPlan(q, k))
-}
-
-// Exact executes q with no relaxations at all: every pattern joins as a
-// plain sorted scan, so the result is the exact top-k of the unrelaxed
-// query. This is the graceful-degradation plan a saturated server falls back
-// to — the paper's own semantics make "serve the exact answer only" a
-// principled cheaper tier rather than an error.
-func (ex *Executor) Exact(q kg.Query, k int) Result {
-	return ex.Run(planner.ExactPlan(q, k))
-}
-
-// PlanSource is anything that yields a speculative plan for a query: a bare
-// planner.Planner or a planner.PlanCache.
-type PlanSource interface {
-	Plan(q kg.Query, k int) planner.Plan
-}
-
-// SpecQP plans q speculatively with pl and executes the resulting plan,
-// recording the planning time separately (the paper includes it in total
-// runtime; harness code reports PlanTime+ExecTime).
-func (ex *Executor) SpecQP(pl PlanSource, q kg.Query, k int) Result {
-	t0 := time.Now()
-	p := pl.Plan(q, k)
-	planTime := time.Since(t0)
-	res := ex.Run(p)
-	res.PlanTime = planTime
-	return res
+	// p.K only bounds the answer count (a caller may pass math.MaxInt), so
+	// presize modestly and let append grow.
+	answers := make([]kg.Answer, 0, min(p.K, 64))
+	var ids []kg.ID // result-owned backing of the answers' bindings
+	var err error
+	for len(answers) < p.K {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			err = ctxErr
+			break
+		}
+		e, ok := root.Next()
+		if !ok {
+			// An aborted operator reports exhaustion; distinguish a genuinely
+			// drained stream from a cancelled one so callers always see the
+			// context error alongside the partial top-k. A run that filled k
+			// answers never reaches this check — completion beats a
+			// cancellation that lands after the last answer.
+			err = ctx.Err()
+			break
+		}
+		if n := len(e.Binding); n > 0 {
+			if len(ids)+n > cap(ids) {
+				// Earlier answers keep pointing into the old backing.
+				ids = make([]kg.ID, 0, n*max(2*len(answers), min(p.K, 64)))
+			}
+			b := ids[len(ids) : len(ids)+n : len(ids)+n]
+			copy(b, e.Binding)
+			ids = ids[:len(ids)+n]
+			e.Binding = b
+		}
+		a := kg.Answer{Binding: e.Binding, Score: e.Score, Relaxed: e.Relaxed}
+		answers = append(answers, a)
+		if o.Emit != nil && !o.Emit(a) {
+			break
+		}
+	}
+	res := Result{
+		Answers:       answers,
+		MemoryObjects: c.Value(),
+		ExecTime:      time.Since(start),
+		Plan:          p,
+	}
+	stop()
+	if o.Trace {
+		res.Trace = &trace.Trace{
+			K:             p.K,
+			ExecUS:        res.ExecTime.Microseconds(),
+			Answers:       len(answers),
+			MemoryObjects: res.MemoryObjects,
+			Root:          operators.TraceTree(root),
+		}
+	}
+	ws.Release()
+	return res, err
 }
 
 // Naive evaluates every relaxed query in the enumeration space completely,

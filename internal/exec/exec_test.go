@@ -1,16 +1,25 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"specqp/internal/kg"
 	"specqp/internal/planner"
 	"specqp/internal/relax"
 	"specqp/internal/stats"
 )
+
+// run executes plan p to completion: Run with a context that never cancels
+// and no emitter, which cannot fail.
+func run(ex *Executor, p planner.Plan) Result {
+	res, _ := ex.Run(context.Background(), p, RunOpts{})
+	return res
+}
 
 // randomWorld generates a random typed KG with relaxation rules for
 // differential testing of the executors.
@@ -86,7 +95,7 @@ func TestTriniTMatchesNaive(t *testing.T) {
 		for _, np := range []int{1, 2, 3} {
 			q := w.randomQuery(rng, np)
 			for _, k := range []int{1, 5, 10} {
-				tr := ex.TriniT(q, k)
+				tr := run(ex, planner.TriniTPlan(q, k))
 				nv := ex.Naive(q, k, 0)
 				if len(tr.Answers) != len(nv.Answers) {
 					t.Fatalf("trial %d np=%d k=%d: TriniT %d answers, Naive %d",
@@ -110,11 +119,15 @@ func TestSpecQPWithFullRelaxationMatchesTriniT(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		w := newRandomWorld(t, rng, 80, 5)
 		ex := New(w.st, w.rules)
+		pl := planner.New(stats.NewCatalog(w.st, 2, nil), w.rules)
 		q := w.randomQuery(rng, 2)
 		k := 5
-		full := planner.TriniTPlan(q, k)
-		viaPlan := ex.Run(full)
-		direct := ex.TriniT(q, k)
+		// A speculative plan forced to relax every pattern (singletons in
+		// PLANGEN's order, join group appended) must run as TriniT.
+		full := pl.Plan(q, k)
+		full.Singletons, full.JoinGroup = append(full.Singletons, full.JoinGroup...), nil
+		viaPlan := run(ex, full)
+		direct := run(ex, planner.TriniTPlan(q, k))
 		if len(viaPlan.Answers) != len(direct.Answers) {
 			t.Fatalf("trial %d: %d vs %d answers", trial, len(viaPlan.Answers), len(direct.Answers))
 		}
@@ -137,7 +150,7 @@ func TestSpecQPAnswersScoresValid(t *testing.T) {
 		pl := planner.New(stats.NewCatalog(w.st, 2, nil), w.rules)
 		q := w.randomQuery(rng, 2)
 		k := 5
-		s := ex.SpecQP(pl, q, k)
+		s := run(ex, pl.Plan(q, k))
 		nv := ex.Naive(q, 1<<20, 0) // full sorted answer table
 		valid := map[string]float64{}
 		for _, a := range nv.Answers {
@@ -165,7 +178,7 @@ func TestSpecQPSortedAndBoundedByK(t *testing.T) {
 	pl := planner.New(stats.NewCatalog(w.st, 2, nil), w.rules)
 	for _, k := range []int{1, 3, 10, 100} {
 		q := w.randomQuery(rng, 2)
-		res := ex.SpecQP(pl, q, k)
+		res := run(ex, pl.Plan(q, k))
 		if len(res.Answers) > k {
 			t.Fatalf("k=%d: got %d answers", k, len(res.Answers))
 		}
@@ -184,18 +197,20 @@ func TestResultMetricsPopulated(t *testing.T) {
 	pl := planner.New(stats.NewCatalog(w.st, 2, nil), w.rules)
 	q := w.randomQuery(rng, 2)
 
-	tr := ex.TriniT(q, 5)
+	tr := run(ex, planner.TriniTPlan(q, 5))
 	if tr.MemoryObjects <= 0 {
 		t.Fatal("TriniT memory objects not counted")
 	}
 	if tr.PlanTime != 0 {
 		t.Fatal("TriniT must have no planning time")
 	}
-	s := ex.SpecQP(pl, q, 5)
-	if s.PlanTime <= 0 {
-		t.Fatal("Spec-QP planning time missing")
+	// Run executes a plan it is handed; timing the planning is the caller's.
+	s := run(ex, pl.Plan(q, 5))
+	if s.PlanTime != 0 || s.ExecTime <= 0 {
+		t.Fatalf("Spec-QP run: plan time %v, exec time %v", s.PlanTime, s.ExecTime)
 	}
-	if s.TotalTime() < s.ExecTime {
+	s.PlanTime = time.Millisecond
+	if s.TotalTime() != s.ExecTime+time.Millisecond {
 		t.Fatal("total time must include planning")
 	}
 	n := ex.Naive(q, 5, 0)
@@ -249,7 +264,7 @@ func TestRelaxedProvenanceMasks(t *testing.T) {
 	}
 	ex := New(st, rules)
 	q := kg.NewQuery(kg.NewPattern(kg.Var("s"), kg.Const(ty), kg.Const(a)), pb)
-	res := ex.TriniT(q, 10)
+	res := run(ex, planner.TriniTPlan(q, 10))
 	if len(res.Answers) != 2 {
 		t.Fatalf("answers: got %d want 2", len(res.Answers))
 	}
@@ -281,7 +296,7 @@ func TestEmptyQueryAndNoAnswers(t *testing.T) {
 	d := st.Dict()
 	p, _ := d.Lookup("p")
 	q := kg.NewQuery(kg.NewPattern(kg.Var("s"), kg.Const(p), kg.Const(d.Encode("missing"))))
-	res := ex.TriniT(q, 5)
+	res := run(ex, planner.TriniTPlan(q, 5))
 	if len(res.Answers) != 0 {
 		t.Fatalf("unanswerable query returned %d answers", len(res.Answers))
 	}

@@ -82,7 +82,7 @@ func TestPathQueryTriniTMatchesNaive(t *testing.T) {
 		}
 		for qi, q := range queries {
 			for _, k := range []int{1, 5, 20} {
-				tr := ex.TriniT(q, k)
+				tr := run(ex, planner.TriniTPlan(q, k))
 				nv := ex.Naive(q, k, 0)
 				if len(tr.Answers) != len(nv.Answers) {
 					t.Fatalf("trial %d q%d k=%d: TriniT %d vs Naive %d answers",
@@ -111,7 +111,7 @@ func TestPathQuerySpecQPValid(t *testing.T) {
 		kg.NewPattern(kg.Var("x"), kg.Const(knows), kg.Var("y")),
 		kg.NewPattern(kg.Var("y"), kg.Const(knows), kg.Var("z")),
 	}}
-	res := ex.SpecQP(pl, q, 10)
+	res := run(ex, pl.Plan(q, 10))
 	if got := len(res.Plan.JoinGroup) + len(res.Plan.Singletons); got != 2 {
 		t.Fatalf("plan covers %d patterns", got)
 	}
@@ -151,7 +151,7 @@ func TestPathQueryCycle(t *testing.T) {
 		kg.NewPattern(kg.Var("y"), kg.Const(knows), kg.Var("x")),
 	}}
 	ex := New(st, relax.NewRuleSet())
-	res := ex.TriniT(q, 10)
+	res := run(ex, planner.TriniTPlan(q, 10))
 	// Cycles: (a,b) and (b,a).
 	if len(res.Answers) != 2 {
 		t.Fatalf("cycles: got %d want 2", len(res.Answers))

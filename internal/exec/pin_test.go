@@ -26,7 +26,7 @@ func TestOperatorTreePinnedSnapshot(t *testing.T) {
 			kg.NewPattern(kg.Var("s"), kg.Const(w.ty), kg.Const(w.types[1])),
 		)
 		plan := planner.TriniTPlan(q, 10)
-		want := ex.Run(plan)
+		want := run(ex, plan)
 
 		c := &operators.Counter{}
 		root, _, stop := ex.buildStream(plan, c)
@@ -54,7 +54,7 @@ func TestOperatorTreePinnedSnapshot(t *testing.T) {
 			}
 		}
 		// The live store did move: a tree built now must see the new top.
-		after := ex.Run(planner.TriniTPlan(q, 10))
+		after := run(ex, planner.TriniTPlan(q, 10))
 		if len(after.Answers) == 0 || after.Answers[0].Score == want.Answers[0].Score {
 			t.Fatalf("parallel=%v: post-insert tree did not observe the dominating inserts", parallel)
 		}

@@ -9,6 +9,7 @@ package planner
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"specqp/internal/kg"
@@ -248,6 +249,43 @@ func (pl *Planner) Explain(p Plan) string {
 		}
 	}
 	fmt.Fprintf(&b, "plan: join group %v, singletons %v\n", p.JoinGroup, p.Singletons)
+	return b.String()
+}
+
+// ShapeKey returns a canonical key for (q, k): two queries share a key iff
+// they have the same constants in the same positions and the same
+// cross-pattern variable-sharing structure. Variable names are erased to
+// first-occurrence indexes, so 〈?x a b〉.〈?x c d〉 and 〈?y a b〉.〈?y c d〉 share
+// a key while 〈?x a b〉.〈?z c d〉 does not. PLANGEN's decisions depend only on
+// per-pattern statistics (keyed by constants) and the exact join count
+// (keyed by the join structure), so plans are identical within a shape
+// class.
+func ShapeKey(q kg.Query, k int) string {
+	var b strings.Builder
+	vars := map[string]int{}
+	term := func(t kg.Term) {
+		if t.IsVar {
+			i, ok := vars[t.Name]
+			if !ok {
+				i = len(vars)
+				vars[t.Name] = i
+			}
+			b.WriteByte('v')
+			b.WriteString(strconv.Itoa(i))
+		} else {
+			b.WriteByte('#')
+			b.WriteString(strconv.FormatUint(uint64(t.ID), 10))
+		}
+		b.WriteByte(' ')
+	}
+	for _, p := range q.Patterns {
+		term(p.S)
+		term(p.P)
+		term(p.O)
+		b.WriteByte('.')
+	}
+	b.WriteString("k=")
+	b.WriteString(strconv.Itoa(k))
 	return b.String()
 }
 

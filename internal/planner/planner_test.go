@@ -233,3 +233,29 @@ func TestPlanDecisionReasonsPopulated(t *testing.T) {
 		}
 	}
 }
+
+func TestShapeKeyCanonicalisesVarNames(t *testing.T) {
+	a := kg.NewQuery(
+		kg.NewPattern(kg.Var("x"), kg.Const(1), kg.Const(2)),
+		kg.NewPattern(kg.Var("x"), kg.Const(3), kg.Const(4)),
+	)
+	b := kg.NewQuery(
+		kg.NewPattern(kg.Var("y"), kg.Const(1), kg.Const(2)),
+		kg.NewPattern(kg.Var("y"), kg.Const(3), kg.Const(4)),
+	)
+	if ShapeKey(a, 10) != ShapeKey(b, 10) {
+		t.Fatal("renamed variables must share a shape key")
+	}
+	// Breaking the cross-pattern sharing changes the join structure and must
+	// change the key even though per-pattern keys are identical.
+	c := kg.NewQuery(
+		kg.NewPattern(kg.Var("x"), kg.Const(1), kg.Const(2)),
+		kg.NewPattern(kg.Var("z"), kg.Const(3), kg.Const(4)),
+	)
+	if ShapeKey(a, 10) == ShapeKey(c, 10) {
+		t.Fatal("different variable sharing must not share a shape key")
+	}
+	if ShapeKey(a, 10) == ShapeKey(a, 20) {
+		t.Fatal("different k must not share a shape key")
+	}
+}

@@ -25,9 +25,9 @@ type slowBackend struct {
 	delay time.Duration
 }
 
-func (b *slowBackend) QueryContext(ctx context.Context, q specqp.Query, k int, mode specqp.Mode) (specqp.Result, error) {
+func (b *slowBackend) QueryStream(ctx context.Context, q specqp.Query, k int, mode specqp.Mode, emit specqp.AnswerEmitter) (specqp.Result, error) {
 	b.clock.Advance(b.delay)
-	return b.Engine.QueryContext(ctx, q, k, mode)
+	return b.Engine.QueryStream(ctx, q, k, mode, emit)
 }
 
 func (b *slowBackend) QueryTraced(ctx context.Context, q specqp.Query, k int, mode specqp.Mode) (specqp.Result, error) {
@@ -278,9 +278,14 @@ func TestHealthzEngineStats(t *testing.T) {
 	if eng["durable"].(bool) {
 		t.Fatal("flat engine reported durable")
 	}
-	for _, key := range []string{"head_len", "l1_len", "tombstones", "plan_cache_hits", "plan_cache_misses"} {
+	for _, key := range []string{"head_len", "l1_len", "tombstones", "list_cache_hits", "list_cache_misses"} {
 		if _, ok := eng[key]; !ok {
 			t.Fatalf("engine block missing %q: %v", key, eng)
+		}
+	}
+	for key := range eng {
+		if strings.HasPrefix(key, "plan_cache") {
+			t.Fatalf("engine block carries %q, but the engine has no plan cache", key)
 		}
 	}
 }
@@ -385,11 +390,16 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		"specqp_slow_queries_logged_total",
 		"specqp_engine_live_triples", "specqp_engine_head_len",
 		"specqp_engine_compactions_total", "specqp_engine_pinned_snapshots_total",
-		"specqp_engine_plan_cache_hits_total", "specqp_engine_list_cache_hits_total",
+		"specqp_engine_list_cache_hits_total",
 		"specqp_query_latency_us_bucket", "specqp_first_answer_latency_us_bucket",
 	} {
 		if !seen[want] {
 			t.Fatalf("exposition missing %s", want)
+		}
+	}
+	for name := range seen {
+		if strings.Contains(name, "plan_cache") {
+			t.Fatalf("exposition carries %s, but the engine has no plan cache", name)
 		}
 	}
 

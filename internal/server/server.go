@@ -7,7 +7,7 @@
 //     operations, not a goroutine parked on the executor.
 //   - Deadline propagation: the request's deadline (X-Deadline-Ms header or
 //     deadline_ms body field, clamped to a configured maximum) rides the
-//     request context into Engine.QueryContext, where the operators poll it
+//     request context into Engine.QueryStream, where the operators poll it
 //     at a bounded stride — a cancelled or expired client never holds an
 //     executor worker.
 //   - Graceful degradation: sustained queue-shedding escalates a governor
@@ -50,9 +50,9 @@ import (
 // than assumed.
 type Backend interface {
 	ParseSPARQL(src string) (specqp.Query, error)
-	QueryContext(ctx context.Context, q specqp.Query, k int, mode specqp.Mode) (specqp.Result, error)
+	// QueryStream and QueryBatchStream with a nil emitter are the buffered
+	// query and batch.
 	QueryStream(ctx context.Context, q specqp.Query, k int, mode specqp.Mode, emit specqp.AnswerEmitter) (specqp.Result, error)
-	QueryBatch(ctx context.Context, queries []specqp.Query, k int, mode specqp.Mode) ([]specqp.BatchResult, error)
 	QueryBatchStream(ctx context.Context, queries []specqp.Query, k int, mode specqp.Mode, emit func(int, specqp.Answer) bool) ([]specqp.BatchResult, error)
 	DecodeAnswer(q specqp.Query, a specqp.Answer) map[string]string
 	InsertSPO(s, p, o string, score float64) error
@@ -541,7 +541,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if (req.Explain || armed) && s.traced != nil {
 		res, qerr = s.traced.QueryTraced(ctx, q, k, mode)
 	} else {
-		res, qerr = s.eng.QueryContext(ctx, q, k, mode)
+		res, qerr = s.eng.QueryStream(ctx, q, k, mode, nil)
 	}
 	elapsed := s.cfg.now().Sub(start)
 	s.m.Latency.Observe(elapsed)
@@ -664,7 +664,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.streamBatch(ctx, w, reqs, queries, parseErrs, valid, k, mode, tier, start)
 		return
 	}
-	results, berr := s.eng.QueryBatch(ctx, valid, k, mode)
+	results, berr := s.eng.QueryBatchStream(ctx, valid, k, mode, nil)
 	elapsed := s.cfg.now().Sub(start)
 	s.m.Latency.Observe(elapsed)
 	s.gov.noteLatency(elapsed)
@@ -855,8 +855,6 @@ func writeEngineText(w io.Writer, es specqp.EngineStats) {
 	fmt.Fprintf(w, "specqp_engine_compaction_us_total{tier=\"full\"} %d\n", es.CompactionFullNS/1e3)
 	fmt.Fprintf(w, "specqp_engine_compaction_us_total{tier=\"l1\"} %d\n", es.CompactionTieredNS/1e3)
 	fmt.Fprintf(w, "specqp_engine_pinned_snapshots_total %d\n", es.PinnedSnapshots)
-	fmt.Fprintf(w, "specqp_engine_plan_cache_hits_total %d\n", es.PlanCacheHits)
-	fmt.Fprintf(w, "specqp_engine_plan_cache_misses_total %d\n", es.PlanCacheMisses)
 	fmt.Fprintf(w, "specqp_engine_list_cache_hits_total %d\n", es.ListCacheHits)
 	fmt.Fprintf(w, "specqp_engine_list_cache_misses_total %d\n", es.ListCacheMisses)
 	if !es.Durable {

@@ -68,10 +68,10 @@ type gateBackend struct {
 	syncs       atomic.Int64
 	checkpoints atomic.Int64
 	wedged      atomic.Bool
-	gate        chan struct{} // non-nil: QueryContext parks until close or ctx
+	gate        chan struct{} // non-nil: QueryStream parks until close or ctx
 }
 
-func (g *gateBackend) QueryContext(ctx context.Context, q specqp.Query, k int, mode specqp.Mode) (specqp.Result, error) {
+func (g *gateBackend) QueryStream(ctx context.Context, q specqp.Query, k int, mode specqp.Mode, emit specqp.AnswerEmitter) (specqp.Result, error) {
 	g.queryCalls.Add(1)
 	if g.gate != nil {
 		select {
@@ -80,12 +80,12 @@ func (g *gateBackend) QueryContext(ctx context.Context, q specqp.Query, k int, m
 			return specqp.Result{}, ctx.Err()
 		}
 	}
-	return g.Backend.QueryContext(ctx, q, k, mode)
+	return g.Backend.QueryStream(ctx, q, k, mode, emit)
 }
 
-func (g *gateBackend) QueryBatch(ctx context.Context, qs []specqp.Query, k int, mode specqp.Mode) ([]specqp.BatchResult, error) {
+func (g *gateBackend) QueryBatchStream(ctx context.Context, qs []specqp.Query, k int, mode specqp.Mode, emit func(int, specqp.Answer) bool) ([]specqp.BatchResult, error) {
 	g.queryCalls.Add(int64(len(qs)))
-	return g.Backend.QueryBatch(ctx, qs, k, mode)
+	return g.Backend.QueryBatchStream(ctx, qs, k, mode, emit)
 }
 
 func (g *gateBackend) InsertSPO(s, p, o string, score float64) error {

@@ -270,15 +270,9 @@ type Trace struct {
 	Mode string `json:"mode"`
 	// K is the requested answer count.
 	K int `json:"k"`
-	// ShapeKey is the plan cache's canonical key for the query shape
-	// (ModeSpecQP only).
+	// ShapeKey is the planner's canonical key for the query shape
+	// (ModeSpecQP only): queries with equal keys get equal plans.
 	ShapeKey string `json:"shape_key,omitempty"`
-	// PlanCacheHit reports whether the speculative plan came from the shape
-	// cache (meaningful only when PlanCached is true).
-	PlanCacheHit bool `json:"plan_cache_hit,omitempty"`
-	// PlanCached reports whether the plan was resolved through the shape
-	// cache at all (single uncached queries plan directly).
-	PlanCached bool `json:"plan_cached,omitempty"`
 	// Relaxations is the number of patterns the plan expands with relaxations
 	// (the speculative planner's singleton count; all patterns for TriniT).
 	Relaxations int `json:"relaxations,omitempty"`
@@ -303,13 +297,6 @@ func Render(t *Trace) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "mode=%s k=%d", t.Mode, t.K)
-	if t.PlanCached {
-		if t.PlanCacheHit {
-			b.WriteString(" plan=cache-hit")
-		} else {
-			b.WriteString(" plan=cache-miss")
-		}
-	}
 	if t.Relaxations > 0 {
 		fmt.Fprintf(&b, " relaxed_patterns=%d", t.Relaxations)
 	}

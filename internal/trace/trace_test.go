@@ -38,20 +38,18 @@ func TestRenderGolden(t *testing.T) {
 	join.Children = []*Node{scan1, scan2}
 
 	tr := &Trace{
-		Mode:         "spec-qp",
-		K:            3,
-		PlanCached:   true,
-		PlanCacheHit: true,
-		Relaxations:  2,
-		PlanUS:       12,
-		ExecUS:       340,
-		Answers:      1,
+		Mode:          "spec-qp",
+		K:             3,
+		Relaxations:   2,
+		PlanUS:        12,
+		ExecUS:        340,
+		Answers:       1,
 		MemoryObjects: 4,
-		Root:         join,
+		Root:          join,
 	}
 
 	want := strings.Join([]string{
-		"mode=spec-qp k=3 plan=cache-hit relaxed_patterns=2 plan_us=12 exec_us=340 answers=1 objects=4",
+		"mode=spec-qp k=3 relaxed_patterns=2 plan_us=12 exec_us=340 answers=1 objects=4",
 		"└─ RankJoin pulls=2 emits=1 created=1 top=100.0000",
 		"   ├─ ListScan(?s <rdf:type> <singer>) pulls=5 emits=2 top=100.0000 bound=70.0000 bound_path=[90.0000→70.0000 ×3]",
 		"   └─ ListScan(?s <rdf:type> <guitarist>) pulls=1 dedup_dropped=1",
@@ -62,13 +60,14 @@ func TestRenderGolden(t *testing.T) {
 	}
 }
 
-// TestRenderCacheMissAndNilRoot covers the header variants: a cache miss
-// prints plan=cache-miss, a rootless trace (naive mode) renders only the
-// header line, and a nil trace renders empty.
+// TestRenderCacheMissAndNilRoot covers the header variants: the header
+// carries no plan-cache field (there is no plan cache to hit or miss), a
+// rootless trace (naive mode) renders only the header line, and a nil trace
+// renders empty.
 func TestRenderCacheMissAndNilRoot(t *testing.T) {
-	tr := &Trace{Mode: "naive", K: 10, PlanCached: true, Answers: 2, MemoryObjects: 7}
+	tr := &Trace{Mode: "naive", K: 10, Answers: 2, MemoryObjects: 7}
 	got := Render(tr)
-	want := "mode=naive k=10 plan=cache-miss answers=2 objects=7\n"
+	want := "mode=naive k=10 answers=2 objects=7\n"
 	if got != want {
 		t.Errorf("got %q want %q", got, want)
 	}
@@ -153,7 +152,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	root.Emit()
 	root.Created()
 	root.Children = []*Node{leaf}
-	tr := &Trace{Mode: "spec-qp", K: 2, PlanCached: true, Answers: 1, Root: root}
+	tr := &Trace{Mode: "spec-qp", K: 2, Answers: 1, Root: root}
 
 	raw, err := json.Marshal(tr)
 	if err != nil {

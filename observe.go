@@ -5,8 +5,8 @@ import (
 )
 
 // EngineStats is a point-in-time snapshot of the engine's internals: store
-// occupancy across the LSM tiers, compaction and cache behaviour, and — on
-// durable engines — WAL group-commit, fsync and checkpoint activity. All
+// occupancy across the LSM tiers, compaction and list-cache behaviour, and —
+// on durable engines — WAL group-commit, fsync and checkpoint activity. All
 // counters are cumulative since engine construction; gauges (sizes, pinned
 // snapshots) are instantaneous. Collecting a snapshot takes no locks beyond
 // the atomic loads, so it is safe to call from a metrics scrape path at any
@@ -35,11 +35,14 @@ type EngineStats struct {
 	// pin froze the then-current head prefix for an isolated reader.
 	PinnedSnapshots int64 `json:"pinned_snapshots"`
 
-	// Plan cache (shape-keyed speculative plans) and merged/residual list
-	// cache hit accounting. The list-cache tallies are process-wide — cache
-	// instances are per-snapshot and dropped wholesale on version changes.
-	PlanCacheHits   int64 `json:"plan_cache_hits"`
-	PlanCacheMisses int64 `json:"plan_cache_misses"`
+	// PlanCacheHits and PlanCacheMisses always read 0: the engine has no
+	// plan cache. They remain only because the benchmark harness in bench/
+	// still reads them, and are left out of the JSON form.
+	PlanCacheHits   int64 `json:"-"`
+	PlanCacheMisses int64 `json:"-"`
+	// Merged/residual list cache hit accounting. The tallies are
+	// process-wide — cache instances are per-snapshot and dropped wholesale
+	// on version changes.
 	ListCacheHits   int64 `json:"list_cache_hits"`
 	ListCacheMisses int64 `json:"list_cache_misses"`
 
@@ -93,7 +96,6 @@ func (e *Engine) Stats() EngineStats {
 		s.CompactionsFull, s.CompactionsTiered, s.CompactionFullNS, s.CompactionTieredNS = g.CompactionStats()
 		s.PinnedSnapshots = g.Pins()
 	}
-	s.PlanCacheHits, s.PlanCacheMisses = e.plans.Stats()
 	s.ListCacheHits, s.ListCacheMisses = kg.ListCacheStats()
 	if w := e.wal; w != nil {
 		s.Durable = true

@@ -176,15 +176,6 @@ func (r *Replica) ParseSPARQL(src string) (Query, error) {
 	return eng.ParseSPARQL(src)
 }
 
-// QueryContext executes q against the last applied state.
-func (r *Replica) QueryContext(ctx context.Context, q Query, k int, mode Mode) (Result, error) {
-	eng, err := r.engine()
-	if err != nil {
-		return Result{}, err
-	}
-	return eng.QueryContext(ctx, q, k, mode)
-}
-
 // QueryTraced executes q traced against the last applied state.
 func (r *Replica) QueryTraced(ctx context.Context, q Query, k int, mode Mode) (Result, error) {
 	eng, err := r.engine()
@@ -204,7 +195,8 @@ func (r *Replica) Stats() EngineStats {
 	return eng.Stats()
 }
 
-// QueryStream streams answers from the last applied state.
+// QueryStream executes q against the last applied state, streaming answers
+// to emit (nil buffers them, as QueryContext does).
 func (r *Replica) QueryStream(ctx context.Context, q Query, k int, mode Mode, emit AnswerEmitter) (Result, error) {
 	eng, err := r.engine()
 	if err != nil {
@@ -213,16 +205,8 @@ func (r *Replica) QueryStream(ctx context.Context, q Query, k int, mode Mode, em
 	return eng.QueryStream(ctx, q, k, mode, emit)
 }
 
-// QueryBatch executes a query batch against the last applied state.
-func (r *Replica) QueryBatch(ctx context.Context, queries []Query, k int, mode Mode) ([]BatchResult, error) {
-	eng, err := r.engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.QueryBatch(ctx, queries, k, mode)
-}
-
-// QueryBatchStream streams a query batch from the last applied state.
+// QueryBatchStream executes a query batch against the last applied state,
+// streaming answers to emit (nil buffers them, as QueryBatch does).
 func (r *Replica) QueryBatchStream(ctx context.Context, queries []Query, k int, mode Mode, emit func(int, Answer) bool) ([]BatchResult, error) {
 	eng, err := r.engine()
 	if err != nil {

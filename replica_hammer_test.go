@@ -139,7 +139,7 @@ func TestReplicaFollowerHammer(t *testing.T) {
 					return
 				}
 				last = cur
-				if _, err := rep.QueryBatch(context.Background(), queries[:2], 5, ModeSpecQP); err != nil &&
+				if _, err := rep.QueryBatchStream(context.Background(), queries[:2], 5, ModeSpecQP, nil); err != nil &&
 					!errors.Is(err, ErrNotBootstrapped) {
 					t.Errorf("reader %d: query batch: %v", rdr, err)
 					return

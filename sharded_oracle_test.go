@@ -360,11 +360,11 @@ func TestLiveInterleavedOracle(t *testing.T) {
 	}
 }
 
-// TestLiveQueryBatchPlanCacheInvalidation pins the engine-level cache
-// plumbing the oracle relies on: a QueryBatch answer computed before an
-// insert must not be replayed from the plan cache or the statistics catalog
-// after the insert changed the store's contents.
-func TestLiveQueryBatchPlanCacheInvalidation(t *testing.T) {
+// TestLiveQueryBatchStatsInvalidation pins the engine-level cache plumbing
+// the oracle relies on: a QueryBatch answer computed before an insert must
+// not be replayed from the statistics catalog after the insert changed the
+// store's contents.
+func TestLiveQueryBatchStatsInvalidation(t *testing.T) {
 	dict, triples, rules, queries := randomLiveFixture(t, 4242)
 	base := len(triples) / 2
 	ss := kg.NewShardedStore(dict, 3)
@@ -376,7 +376,7 @@ func TestLiveQueryBatchPlanCacheInvalidation(t *testing.T) {
 	eng := NewEngineOver(ss, rules, Options{HeadLimit: -1})
 	ctx := context.Background()
 	if _, err := eng.QueryBatch(ctx, queries, 8, ModeSpecQP); err != nil {
-		t.Fatal(err) // warm the plan cache against the pre-insert store
+		t.Fatal(err) // warm the statistics catalog against the pre-insert store
 	}
 	for _, tr := range triples[base:] {
 		if err := eng.Insert(tr); err != nil {

@@ -25,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"specqp/internal/exec"
@@ -202,9 +201,6 @@ type Options struct {
 	NaiveLimit int
 	// BatchWorkers bounds QueryBatch's worker pool (0 = GOMAXPROCS).
 	BatchWorkers int
-	// PlanCacheSize is the capacity of the LRU plan cache QueryBatch uses
-	// for ModeSpecQP, keyed by query shape (0 = planner.DefaultPlanCacheSize).
-	PlanCacheSize int
 	// Shards selects the storage layout the engine queries. 0 or 1 keeps
 	// today's flat layout. A value > 1 repartitions the store into that many
 	// subject-hashed segments (frozen in parallel) and turns on parallel
@@ -265,20 +261,16 @@ const ShardsAuto = -1
 // speculative planner and the executors behind one façade. It is safe for
 // concurrent queries once the store is frozen — and for concurrent Insert
 // calls interleaved with queries: live inserts land in per-segment mutable
-// heads, the statistics catalog invalidates itself against the store's
-// content version, and the batch plan cache is flushed on version changes.
+// heads, and the statistics catalog invalidates itself against the store's
+// content version.
 type Engine struct {
 	store   *Store
 	graph   kg.Graph
 	rules   *RuleSet
 	catalog *stats.Catalog
 	planner *planner.Planner
-	plans   *planner.PlanCache
 	exec    *exec.Executor
 	opts    Options
-	// planVersion is the graph content version the batch plan cache was last
-	// validated against (see livePlans).
-	planVersion atomic.Uint64
 	// wal is the durability layer; nil on non-durable engines. Set only by
 	// OpenDurable/OpenDurableWith (see durable.go).
 	wal *walState
@@ -335,7 +327,7 @@ func NewEngineOver(g Graph, rules *RuleSet, opts Options) *Engine {
 	return newEngineOver(g, st, rules, opts)
 }
 
-// newEngineOver wires catalog, planner, caches and executor over graph.
+// newEngineOver wires catalog, planner and executor over graph.
 // store may be nil (engines built over a non-*Store graph).
 func newEngineOver(graph kg.Graph, store *Store, rules *RuleSet, opts Options) *Engine {
 	buckets := opts.HistogramBuckets
@@ -366,7 +358,6 @@ func newEngineOver(graph kg.Graph, store *Store, rules *RuleSet, opts Options) *
 		rules:   rules,
 		catalog: cat,
 		planner: pl,
-		plans:   planner.NewPlanCache(pl, opts.PlanCacheSize),
 		exec:    ex,
 		opts:    opts,
 	}
@@ -431,49 +422,16 @@ func (e *Engine) Explain(p Plan) string { return e.planner.Explain(p) }
 
 // Query executes q for the top-k answers under the chosen mode.
 func (e *Engine) Query(q Query, k int, mode Mode) (Result, error) {
-	if k < 1 {
-		return Result{}, fmt.Errorf("specqp: k must be >= 1, got %d", k)
-	}
-	if len(q.Patterns) == 0 {
-		return Result{}, fmt.Errorf("specqp: empty query")
-	}
-	switch mode {
-	case ModeSpecQP:
-		return e.exec.SpecQP(e.planner, q, k), nil
-	case ModeTriniT:
-		return e.exec.TriniT(q, k), nil
-	case ModeNaive:
-		return e.exec.Naive(q, k, e.opts.NaiveLimit), nil
-	case ModeExact:
-		return e.exec.Exact(q, k), nil
-	default:
-		return Result{}, fmt.Errorf("specqp: unknown mode %v", mode)
-	}
+	return e.run(context.Background(), q, k, mode, nil, false)
 }
 
 // QueryContext is Query with cancellation support for the operator-based
-// modes (ModeSpecQP, ModeTriniT): a cancelled context returns the partial
-// top-k gathered so far together with the context error. ModeNaive does not
-// support cancellation (it delegates to Query).
+// modes: a cancelled context returns the partial top-k gathered so far
+// together with the context error, and a ModeSpecQP query whose context is
+// already done returns before planning. ModeNaive ignores the context. It is
+// QueryStream with a nil emitter.
 func (e *Engine) QueryContext(ctx context.Context, q Query, k int, mode Mode) (Result, error) {
-	if k < 1 {
-		return Result{}, fmt.Errorf("specqp: k must be >= 1, got %d", k)
-	}
-	if len(q.Patterns) == 0 {
-		return Result{}, fmt.Errorf("specqp: empty query")
-	}
-	switch mode {
-	case ModeSpecQP:
-		return e.exec.SpecQPContext(ctx, e.planner, q, k)
-	case ModeTriniT:
-		return e.exec.TriniTContext(ctx, q, k)
-	case ModeNaive:
-		return e.Query(q, k, mode)
-	case ModeExact:
-		return e.exec.ExactContext(ctx, q, k)
-	default:
-		return Result{}, fmt.Errorf("specqp: unknown mode %v", mode)
-	}
+	return e.run(ctx, q, k, mode, nil, false)
 }
 
 // AnswerEmitter receives streamed answers in rank order the moment the
@@ -485,9 +443,9 @@ type AnswerEmitter = exec.AnswerEmitFunc
 // instant the rank join's corner bound proves no future answer can outrank
 // it — for selective joins that is typically long before the full top-k is
 // known, so a streaming client sees its first answer at a fraction of the
-// full-drain latency. The returned Result carries the same answers passed to
-// emit (streamed and batch consumers observe one sequence by construction;
-// QueryContext is exactly QueryStream with a nil emitter).
+// full-drain latency. The returned Result carries exactly the answers passed
+// to emit (streamed and batch consumers observe one sequence by
+// construction; QueryContext is exactly QueryStream with a nil emitter).
 //
 // Cancellation keeps QueryContext's contract: a context expiring mid-stream
 // stops the operators within a bounded number of probes (AbortStride) and
@@ -496,103 +454,92 @@ type AnswerEmitter = exec.AnswerEmitFunc
 // top-k first and then replays it through emit, so the wire protocol is
 // uniform across modes even though Naive gains no latency.
 func (e *Engine) QueryStream(ctx context.Context, q Query, k int, mode Mode, emit AnswerEmitter) (Result, error) {
-	if k < 1 {
-		return Result{}, fmt.Errorf("specqp: k must be >= 1, got %d", k)
-	}
-	if len(q.Patterns) == 0 {
-		return Result{}, fmt.Errorf("specqp: empty query")
-	}
-	switch mode {
-	case ModeSpecQP:
-		return e.exec.SpecQPContextStream(ctx, e.planner, q, k, emit)
-	case ModeTriniT:
-		return e.exec.TriniTContextStream(ctx, q, k, emit)
-	case ModeExact:
-		return e.exec.ExactContextStream(ctx, q, k, emit)
-	case ModeNaive:
-		res, err := e.Query(q, k, mode)
-		if err != nil {
-			return res, err
-		}
-		if emit != nil {
-			for _, a := range res.Answers {
-				if !emit(a) {
-					break
-				}
-			}
-		}
-		return res, nil
-	default:
-		return Result{}, fmt.Errorf("specqp: unknown mode %v", mode)
-	}
+	return e.run(ctx, q, k, mode, emit, false)
 }
 
 // QueryTraced is QueryContext with per-query observability: the returned
-// Result carries a QueryTrace recording the planner's decisions (plan-cache
-// hit or miss, shape key, relaxation count, planning time) and a plan-shaped
-// tree of per-operator counters — pulls, emissions, dedup drops, bound
-// trajectory samples, abort polls, arena bytes. Tracing changes only what is
-// recorded, never what is computed: answers are bit-identical to
-// QueryContext's (the oracle tests pin this down).
-//
-// ModeSpecQP plans through the engine's shape-keyed plan cache so the trace
-// reflects production cache behaviour; Query/QueryContext plan afresh each
-// call, so a traced run may observe a cached plan where an untraced one
-// re-planned — the plans are identical either way (materialised from the
-// same shape). ModeNaive has no operator tree; its trace carries only the
+// Result carries a QueryTrace recording the planner's decisions (shape key,
+// relaxation count, planning time) and a plan-shaped tree of per-operator
+// counters — pulls, emissions, dedup drops, bound trajectory samples, abort
+// polls, arena bytes. Tracing changes only what is recorded, never what is
+// computed: answers are bit-identical to QueryContext's (the oracle tests pin
+// this down). ModeNaive has no operator tree; its trace carries only the
 // header fields.
 func (e *Engine) QueryTraced(ctx context.Context, q Query, k int, mode Mode) (Result, error) {
+	return e.run(ctx, q, k, mode, nil, true)
+}
+
+// run is the one query path every entry point executes: validate, build the
+// mode's plan, drain it through the executor, stamp planning time and the
+// trace header. The modes differ only in the plan — Spec-QP plans
+// speculatively, TriniT relaxes every pattern, Exact none — except ModeNaive,
+// which evaluates exhaustively instead of running a plan.
+func (e *Engine) run(ctx context.Context, q Query, k int, mode Mode, emit AnswerEmitter, traced bool) (Result, error) {
 	if k < 1 {
 		return Result{}, fmt.Errorf("specqp: k must be >= 1, got %d", k)
 	}
 	if len(q.Patterns) == 0 {
 		return Result{}, fmt.Errorf("specqp: empty query")
 	}
+	var p Plan
+	var planTime time.Duration
+	var shape string
 	switch mode {
 	case ModeSpecQP:
+		// Planning is not interruptible (one exact join count plus histogram
+		// convolutions), so a context already done skips it entirely.
+		if err := ctx.Err(); err != nil {
+			return Result{Plan: Plan{Query: q.Clone(), K: k}}, err
+		}
 		t0 := time.Now()
-		p, hit := e.livePlans().PlanInfo(q, k)
-		planTime := time.Since(t0)
-		res, err := e.exec.RunContextTraced(ctx, p, nil)
-		res.PlanTime = planTime
-		if res.Trace != nil {
-			res.Trace.Mode = mode.String()
-			res.Trace.ShapeKey = planner.ShapeKey(q, k)
-			res.Trace.PlanCached = true
-			res.Trace.PlanCacheHit = hit
-			res.Trace.Relaxations = p.NumRelaxed()
-			res.Trace.PlanUS = planTime.Microseconds()
+		p = e.planner.Plan(q, k)
+		planTime = time.Since(t0)
+		if traced {
+			shape = planner.ShapeKey(q, k)
 		}
-		return res, err
 	case ModeTriniT:
-		res, err := e.exec.RunContextTraced(ctx, planner.TriniTPlan(q, k), nil)
-		if res.Trace != nil {
-			res.Trace.Mode = mode.String()
-			res.Trace.Relaxations = len(q.Patterns)
-		}
-		return res, err
+		p = planner.TriniTPlan(q, k)
 	case ModeExact:
-		res, err := e.exec.RunContextTraced(ctx, planner.ExactPlan(q, k), nil)
-		if res.Trace != nil {
-			res.Trace.Mode = mode.String()
-		}
-		return res, err
+		p = planner.ExactPlan(q, k)
 	case ModeNaive:
-		res, err := e.Query(q, k, mode)
-		if err != nil {
-			return res, err
+		return e.naive(q, k, emit, traced), nil
+	default:
+		return Result{}, fmt.Errorf("specqp: unknown mode %v", mode)
+	}
+	res, err := e.exec.Run(ctx, p, exec.RunOpts{Emit: emit, Trace: traced})
+	res.PlanTime = planTime
+	if res.Trace != nil {
+		res.Trace.Mode = mode.String()
+		res.Trace.ShapeKey = shape
+		res.Trace.Relaxations = p.NumRelaxed()
+		res.Trace.PlanUS = planTime.Microseconds()
+	}
+	return res, err
+}
+
+// naive runs ModeNaive: the exhaustive top-k, replayed through emit. An emit
+// returning false cuts the result to the answers emitted so far, as for the
+// operator modes.
+func (e *Engine) naive(q Query, k int, emit AnswerEmitter, traced bool) Result {
+	res := e.exec.Naive(q, k, e.opts.NaiveLimit)
+	if emit != nil {
+		for i, a := range res.Answers {
+			if !emit(a) {
+				res.Answers = res.Answers[:i+1]
+				break
+			}
 		}
+	}
+	if traced {
 		res.Trace = &trace.Trace{
-			Mode:          mode.String(),
+			Mode:          ModeNaive.String(),
 			K:             k,
 			ExecUS:        res.ExecTime.Microseconds(),
 			Answers:       len(res.Answers),
 			MemoryObjects: res.MemoryObjects,
 		}
-		return res, nil
-	default:
-		return Result{}, fmt.Errorf("specqp: unknown mode %v", mode)
 	}
+	return res
 }
 
 // ExplainString executes q traced and renders both halves of the story: the
@@ -651,7 +598,7 @@ func (e *Engine) InsertSPO(s, p, o string, score float64) error {
 // Delete retracts every live copy of the 〈s p o〉 key from the engine's
 // store — frozen copies, L1-tier copies and head copies alike — and returns
 // how many were removed. The retraction is immediately visible to every
-// subsequent query (cached plans and statistics invalidate through the
+// subsequent query (the statistics catalog invalidates through the
 // content version); pinned snapshots taken before the delete keep seeing the
 // old state. Deleting a key with no live copies is a no-op that still
 // returns (0, nil). Requires a frozen store, like Insert.
@@ -723,24 +670,6 @@ func (e *Engine) Compact() error {
 		lg.Compact()
 	}
 	return e.Checkpoint()
-}
-
-// livePlans returns the batch plan cache, flushed when the store's content
-// version moved since the last use: cached plans embed cardinalities and
-// score distributions that are stale after a live insert. planVersion only
-// advances (CAS), so a goroutine carrying a stale version read cannot
-// rewind it, and PlanCache's generation guard keeps a plan computed before
-// a Clear from ever being published after it — a query racing an insert may
-// still *execute* such a plan, which is the same outcome as the query
-// having started just before the insert. The sequential ingest-then-query
-// flow the oracle tests pin always sees a freshly cleared cache.
-func (e *Engine) livePlans() *planner.PlanCache {
-	v := e.graph.Version()
-	if cur := e.planVersion.Load(); cur < v {
-		e.plans.Clear()
-		e.planVersion.CompareAndSwap(cur, v)
-	}
-	return e.plans
 }
 
 // DecodeAnswer renders an answer's bindings as variable→term strings.

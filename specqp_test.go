@@ -2,7 +2,9 @@ package specqp
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -323,6 +325,66 @@ func TestHugeKReturnsEveryAnswer(t *testing.T) {
 			for i := range got {
 				if got[i].Score != want.Answers[i].Score {
 					t.Fatalf("%v %s: answer %d score %v, want %v", mode, name, i, got[i].Score, want.Answers[i].Score)
+				}
+			}
+		}
+	}
+}
+
+// TestEntryPointsAgree is the entry-point agreement oracle: Query,
+// QueryContext, QueryStream, QueryTraced, QueryBatch and QueryBatchStream all
+// execute one query path, so for every mode, shard count and k they return
+// bit-identical answers and the same plan partition — and, on the flat
+// engine, the same memory-object count (sharded prefetchers make that count
+// timing-dependent, so it is not compared there).
+func TestEntryPointsAgree(t *testing.T) {
+	ctx := context.Background()
+	st, rules, queries := randomEngineFixture(t, 6600)
+	keep := func(int, Answer) bool { return true }
+	for _, shards := range []int{1, 3} {
+		eng := NewEngineWith(st, rules, Options{Shards: shards, BatchWorkers: 2})
+		for _, mode := range streamOracleModes {
+			for _, k := range []int{1, 4, 9, math.MaxInt} {
+				label := fmt.Sprintf("shards=%d mode %v k=%d", shards, mode, k)
+				batch, err := eng.QueryBatch(ctx, queries, k, mode)
+				if err != nil {
+					t.Fatalf("%s: QueryBatch: %v", label, err)
+				}
+				batchStream, err := eng.QueryBatchStream(ctx, queries, k, mode, keep)
+				if err != nil {
+					t.Fatalf("%s: QueryBatchStream: %v", label, err)
+				}
+				for qi, q := range queries {
+					want, err := eng.Query(q, k, mode)
+					if err != nil {
+						t.Fatalf("%s query %d: Query: %v", label, qi, err)
+					}
+					got := map[string]BatchResult{
+						"QueryBatch":       batch[qi],
+						"QueryBatchStream": batchStream[qi],
+					}
+					var r BatchResult
+					r.Result, r.Err = eng.QueryContext(ctx, q, k, mode)
+					got["QueryContext"] = r
+					r.Result, r.Err = eng.QueryStream(ctx, q, k, mode, func(Answer) bool { return true })
+					got["QueryStream"] = r
+					r.Result, r.Err = eng.QueryTraced(ctx, q, k, mode)
+					got["QueryTraced"] = r
+					for name, g := range got {
+						l := fmt.Sprintf("%s query %d %s", label, qi, name)
+						if g.Err != nil {
+							t.Fatalf("%s: %v", l, g.Err)
+						}
+						sameAnswers(t, l, g.Result.Answers, want.Answers)
+						if !slices.Equal(g.Result.Plan.JoinGroup, want.Plan.JoinGroup) ||
+							!slices.Equal(g.Result.Plan.Singletons, want.Plan.Singletons) {
+							t.Fatalf("%s: plan %v/%v, want %v/%v", l, g.Result.Plan.JoinGroup,
+								g.Result.Plan.Singletons, want.Plan.JoinGroup, want.Plan.Singletons)
+						}
+						if shards == 1 && g.Result.MemoryObjects != want.MemoryObjects {
+							t.Fatalf("%s: %d memory objects, want %d", l, g.Result.MemoryObjects, want.MemoryObjects)
+						}
+					}
 				}
 			}
 		}

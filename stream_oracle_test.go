@@ -54,19 +54,22 @@ func TestStreamingPrefixOracle(t *testing.T) {
 					sameAnswers(t, label+" (result)", res.Answers, want.Answers)
 
 					// Early-stop: a client that walks away after j answers got
-					// exactly the proven prefix, and the call still succeeds.
+					// exactly the proven prefix, the call still succeeds, and
+					// the returned Result holds that prefix and nothing more.
 					for _, j := range []int{1, len(want.Answers) / 2} {
 						if j < 1 || j >= len(want.Answers) {
 							continue
 						}
 						var prefix []Answer
-						if _, err := eng.QueryStream(ctx, q, k, mode, func(a Answer) bool {
+						stopped, err := eng.QueryStream(ctx, q, k, mode, func(a Answer) bool {
 							prefix = append(prefix, a)
 							return len(prefix) < j
-						}); err != nil {
+						})
+						if err != nil {
 							t.Fatalf("%s: early-stop QueryStream: %v", label, err)
 						}
 						sameAnswers(t, fmt.Sprintf("%s prefix j=%d", label, j), prefix, want.Answers[:j])
+						sameAnswers(t, fmt.Sprintf("%s prefix j=%d (result)", label, j), stopped.Answers, want.Answers[:j])
 					}
 				}
 			}
