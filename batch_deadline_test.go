@@ -78,7 +78,7 @@ func deadlineFixture(t *testing.T, shards int) (*Engine, []Query) {
 // across flat and sharded layouts and all modes.
 func TestQueryBatchDeadlineMidBatch(t *testing.T) {
 	for _, shards := range []int{1, 3} {
-		for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeNaive, ModeExact} {
+		for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeExact} {
 			t.Run(fmt.Sprintf("shards=%d/mode=%v", shards, mode), func(t *testing.T) {
 				eng, queries := deadlineFixture(t, shards)
 				oracle, err := eng.QueryBatch(context.Background(), queries, 5, mode)

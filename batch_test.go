@@ -49,9 +49,12 @@ func batchFixture(t *testing.T) (*Engine, []Query) {
 	return eng, queries
 }
 
+// TestQueryBatchMatchesSequential: every batched answer matches the
+// sequential Query's, and TriniT's — the exhaustive baseline — also matches
+// the naive reference.
 func TestQueryBatchMatchesSequential(t *testing.T) {
 	eng, queries := batchFixture(t)
-	for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeNaive} {
+	for _, mode := range []Mode{ModeSpecQP, ModeTriniT} {
 		results, err := eng.QueryBatch(context.Background(), queries, 5, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -75,6 +78,19 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 				if math.Abs(r.Result.Answers[i].Score-ref.Answers[i].Score) > 1e-9 {
 					t.Fatalf("%v query %d rank %d: batch %v sequential %v",
 						mode, qi, i, r.Result.Answers[i].Score, ref.Answers[i].Score)
+				}
+			}
+			if mode != ModeTriniT {
+				continue
+			}
+			nv := naiveQuery(eng, queries[qi], 5)
+			if len(nv.Answers) != len(ref.Answers) {
+				t.Fatalf("query %d: %d batched TriniT answers, naive reference %d", qi, len(ref.Answers), len(nv.Answers))
+			}
+			for i := range nv.Answers {
+				if math.Abs(r.Result.Answers[i].Score-nv.Answers[i].Score) > 1e-9 {
+					t.Fatalf("query %d rank %d: batched TriniT %v, naive reference %v",
+						qi, i, r.Result.Answers[i].Score, nv.Answers[i].Score)
 				}
 			}
 		}

@@ -550,7 +550,8 @@ func BenchmarkPrecisionAgainstTruth(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Live ingest: the PR 4 scenario benchmarks behind BENCH_4.json.
+// Live ingest: hold-out triples streamed back through Engine.Insert vs a full
+// rebuild per batch.
 
 // benchIngestTriples extracts a dataset's triples as a replayable sequence.
 func benchIngestTriples(b *testing.B, st *Store, n int) []Triple {

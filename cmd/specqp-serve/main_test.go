@@ -203,7 +203,7 @@ func TestServeDurableRecovery(t *testing.T) {
 
 	// Restart from the WAL directory alone; the served insert must be there.
 	base, shutdown, done = boot([]string{"-addr", "127.0.0.1:0", "-wal", wal})
-	body := fmt.Sprintf(`{"query":%q,"k":5,"mode":"naive"}`,
+	body := fmt.Sprintf(`{"query":%q,"k":5,"mode":"trinit"}`,
 		`SELECT ?s WHERE { ?s 'rdf:type' <guitarist> }`)
 	resp, err = http.Post(base+"/query", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -351,7 +351,7 @@ func TestServeReplicationEndToEnd(t *testing.T) {
 			Relaxed uint32            `json:"relaxed"`
 		} `json:"answers"`
 	}
-	for _, mode := range []string{"specqp", "trinit", "naive", "exact"} {
+	for _, mode := range []string{"specqp", "trinit", "exact"} {
 		body := fmt.Sprintf(`{"query":%q,"k":5,"mode":%q}`, smokeQuery, mode)
 		var prim, fol answers
 		code, raw := postJSON(t, primBase+"/query", body)
@@ -398,7 +398,7 @@ func TestServeReplicationEndToEnd(t *testing.T) {
 		`{"s":"aretha","p":"rdf:type","o":"singer","score":98}`); code != http.StatusOK {
 		t.Fatalf("late primary insert: %d %s", code, raw)
 	}
-	lateQuery := fmt.Sprintf(`{"query":%q,"k":8,"mode":"naive"}`,
+	lateQuery := fmt.Sprintf(`{"query":%q,"k":8,"mode":"trinit"}`,
 		`SELECT ?s WHERE { ?s 'rdf:type' <singer> }`)
 	deadline = time.Now().Add(15 * time.Second)
 	for {

@@ -1,7 +1,7 @@
 // Command specqp is a command-line query runner: it loads a scored triple
 // store (TSV) and a relaxation rule set (TSV), then executes SPARQL-subset
 // queries — from -query, from a file, or interactively from stdin — under a
-// chosen engine (spec-qp, trinit, naive), printing ranked answers and the
+// chosen engine (spec-qp, trinit, exact), printing ranked answers and the
 // efficiency metrics the paper reports.
 //
 // Example:
@@ -56,9 +56,9 @@ func run(args []string, in io.Reader, out, errOut io.Writer) error {
 		queryStr    = fs.String("query", "", "SPARQL query to execute (default: read queries from stdin)")
 		queryFile   = fs.String("queries", "", "file with one SPARQL query per line ('#' comments allowed)")
 		k           = fs.Int("k", 10, "number of answers to return")
-		modeStr     = fs.String("mode", "spec-qp", "engine: spec-qp, trinit or naive")
+		modeStr     = fs.String("mode", "spec-qp", "engine: spec-qp, trinit or exact")
 		explain     = fs.Bool("explain", false, "print the speculative plan reasoning and the executed trace (per-operator pulls, emits, bound trajectory)")
-		compare     = fs.Bool("compare", false, "run all three engines and compare")
+		compare     = fs.Bool("compare", false, "run the paper's two engines (trinit, spec-qp) and compare")
 		buckets     = fs.Int("buckets", 2, "histogram buckets for the estimator")
 		estimated   = fs.Bool("estimated-selectivity", false, "use estimated instead of exact join selectivity")
 		shards      = fs.Int("shards", 1, "store segments (1 = flat layout, -1 = one per CPU); answers are identical at every setting")
@@ -213,7 +213,7 @@ func run(args []string, in io.Reader, out, errOut io.Writer) error {
 			fmt.Fprint(out, eng.Explain(eng.PlanQuery(q, *k)))
 		}
 		if *compare {
-			for _, m := range []specqp.Mode{specqp.ModeTriniT, specqp.ModeSpecQP, specqp.ModeNaive} {
+			for _, m := range []specqp.Mode{specqp.ModeTriniT, specqp.ModeSpecQP} {
 				res, err := eng.Query(q, *k, m)
 				if err != nil {
 					fmt.Fprintf(errOut, "%v: %v\n", m, err)
@@ -292,8 +292,6 @@ func parseMode(s string) (specqp.Mode, error) {
 		return specqp.ModeSpecQP, nil
 	case "t":
 		return specqp.ModeTriniT, nil
-	case "n":
-		return specqp.ModeNaive, nil
 	case "e":
 		return specqp.ModeExact, nil
 	}

@@ -13,10 +13,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden file from current output")
 
 // cliArgs are the fixture invocation shared by the golden and sharding
-// tests: -compare runs all three engines over the committed music KG, and
-// -timings=false keeps the output fully deterministic (PR 2's determinism
-// fixes pinned answer order, memory-object counts and map-iteration-free
-// rendering).
+// tests: -compare runs the paper's two engines over the committed music KG,
+// and -timings=false keeps the output fully deterministic (answer order,
+// memory-object counts and map-iteration-free rendering are all pinned).
 func cliArgs(extra ...string) []string {
 	args := []string{
 		"-triples", filepath.Join("testdata", "music.triples.tsv"),

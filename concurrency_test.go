@@ -406,7 +406,7 @@ func TestLiveIngestHammer(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentMixedModes runs all three engines concurrently against
+// TestEngineConcurrentMixedModes runs every engine mode concurrently against
 // one store to exercise shared caches under mixed read patterns.
 func TestEngineConcurrentMixedModes(t *testing.T) {
 	eng, q := engineFixture(t)
@@ -416,7 +416,7 @@ func TestEngineConcurrentMixedModes(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			mode := []Mode{ModeSpecQP, ModeTriniT, ModeNaive}[w%3]
+			mode := []Mode{ModeSpecQP, ModeTriniT, ModeExact}[w%3]
 			if _, err := eng.Query(q, 3, mode); err != nil {
 				errs <- err
 			}

@@ -74,8 +74,8 @@ func (e *Engine) Wedged() bool {
 	return e.wal != nil && e.wal.log.Wedged()
 }
 
-// DefaultCheckpointBytes is the WAL size at which a durable engine
-// checkpoints automatically when Options.CheckpointBytes is zero.
+// DefaultCheckpointBytes is how many WAL bytes a durable engine appends
+// between automatic checkpoints when Options.CheckpointBytes is zero.
 const DefaultCheckpointBytes = int64(64 << 20)
 
 // The WAL's per-term bound must equal the snapshot format's: a record the
@@ -99,6 +99,11 @@ type walState struct {
 	// numbers its deletes consumed.
 	base            int
 	checkpointBytes int64
+	// cpMark is the log size right after the newest checkpoint truncated it.
+	// The auto-trigger counts bytes appended since then, not the total: a
+	// checkpoint can only drop closed segments, so the active segment's bytes
+	// survive it and would otherwise re-trigger on every mutation.
+	cpMark atomic.Int64
 	// cpMu serialises checkpoints; cpBusy gates the auto-trigger to one
 	// in-flight goroutine; cpWG lets Close wait for it. spawnMu fences
 	// checkpoint-goroutine spawning against Close: a spawn either registers
@@ -449,10 +454,10 @@ func (w *walState) update(lg kg.LiveGraph, t Triple) error {
 	return nil
 }
 
-// maybeCheckpoint starts a background checkpoint once the log outgrows the
-// configured threshold, at most one in flight.
+// maybeCheckpoint starts a background checkpoint once the threshold's worth
+// of bytes has been appended since the last one, at most one in flight.
 func (w *walState) maybeCheckpoint(g kg.Graph) {
-	if w.checkpointBytes <= 0 || w.log.Size() < w.checkpointBytes {
+	if w.checkpointBytes <= 0 || w.log.Size()-w.cpMark.Load() < w.checkpointBytes {
 		return
 	}
 	if !w.cpBusy.CompareAndSwap(false, true) {
@@ -524,7 +529,9 @@ func (w *walState) checkpoint(g kg.Graph) error {
 	w.lastCheckpoint.Store(int64(nbytes))
 	// Anything that fails from here on is garbage collection, not
 	// correctness: the manifest already commits the new snapshot.
-	if err := w.log.TruncateThrough(seq); err != nil {
+	err = w.log.TruncateThrough(seq)
+	w.cpMark.Store(w.log.Size())
+	if err != nil {
 		return err
 	}
 	names, err := w.fs.List()

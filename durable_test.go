@@ -3,6 +3,7 @@ package specqp
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,11 +16,11 @@ import (
 // This file proves the durability subsystem end to end, against the same
 // bit-identical oracle discipline PRs 3–4 used: at every injected crash
 // point, OpenDurable must recover a store whose triples are exactly the
-// acked insert prefix and whose answers — all three modes, across shard
-// counts — equal a flat engine rebuilt from that prefix. The whole stack
-// (log, snapshots, manifest) runs against wal.MemFS, whose byte-budget
-// fault kills the writer mid-record and whose Crash views keep only synced
-// bytes plus an arbitrary prefix of the unsynced tail.
+// acked insert prefix and whose answers — both paper engines and the naive
+// reference, across shard counts — equal a flat engine rebuilt from that
+// prefix. The whole stack (log, snapshots, manifest) runs against wal.MemFS,
+// whose byte-budget fault kills the writer mid-record and whose Crash views
+// keep only synced bytes plus an arbitrary prefix of the unsynced tail.
 
 var durableShardCounts = []int{1, 2, 7}
 
@@ -46,11 +47,12 @@ func flatOracle(t *testing.T, dict *kg.Dict, triples []Triple, pos int, rules *R
 }
 
 // assertOracleEqual checks the engine's answers against the flat oracle for
-// the first three fixture queries under every mode.
+// the first three fixture queries under both paper engines and the naive
+// reference.
 func assertOracleEqual(t *testing.T, label string, eng, oracle *Engine, queries []Query) {
 	t.Helper()
 	for qi, q := range queries[:3] {
-		for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeNaive} {
+		for _, mode := range []Mode{ModeSpecQP, ModeTriniT} {
 			want, err := oracle.Query(q, 8, mode)
 			if err != nil {
 				t.Fatal(err)
@@ -61,6 +63,8 @@ func assertOracleEqual(t *testing.T, label string, eng, oracle *Engine, queries 
 			}
 			sameAnswers(t, fmt.Sprintf("%s query %d mode %v", label, qi, mode), got.Answers, want.Answers)
 		}
+		sameAnswers(t, fmt.Sprintf("%s query %d naive", label, qi),
+			naiveQuery(eng, q, 8).Answers, naiveQuery(oracle, q, 8).Answers)
 	}
 }
 
@@ -338,6 +342,44 @@ func TestDurableCheckpointTruncatesLog(t *testing.T) {
 	reng.Close()
 }
 
+// TestAutoCheckpointCadence pins the automatic checkpoint trigger to the
+// bytes appended since the last checkpoint. A checkpoint can only drop
+// closed log segments, so with CheckpointBytes below WALSegmentSize a trigger
+// on the total log size stays armed until the active segment rotates and
+// fires again after nearly every insert. Each insert waits out the automatic
+// checkpoint it started, so every armed trigger fires and the count is
+// deterministic.
+func TestAutoCheckpointCadence(t *testing.T) {
+	const segment, every = 64 << 10, 8 << 10
+	eng, err := openDurableFS(wal.NewMemFS(), nil, nil,
+		Options{WALSegmentSize: segment, CheckpointBytes: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := 0
+	for i := 0; i < 4000; i++ {
+		s, o, score := fmt.Sprintf("s%d", i), fmt.Sprintf("o%d", i%50), float64(1+i%100)
+		if err := eng.InsertSPO(s, "p", o, score); err != nil {
+			t.Fatal(err)
+		}
+		appended += len(wal.FrameRecord(nil, wal.Record{Kind: wal.KindInsert, S: s, P: "p", O: o, Score: score}))
+		for eng.wal.cpBusy.Load() {
+			runtime.Gosched()
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := eng.Stats().Checkpoints
+	limit := int64((appended+every-1)/every) + 1 // +1: the opening checkpoint
+	if got > limit {
+		t.Fatalf("%d checkpoints for %d appended bytes, want at most %d", got, appended, limit)
+	}
+	if got < limit-2 {
+		t.Fatalf("%d checkpoints for %d appended bytes, want at least %d", got, appended, limit-2)
+	}
+}
+
 // TestDurableStateGuards pins the API misuse errors: re-bootstrapping over
 // existing state is rejected, and NewEngineWith refuses Options.WALDir.
 func TestDurableStateGuards(t *testing.T) {
@@ -457,7 +499,7 @@ func TestDurableInsertHammer(t *testing.T) {
 		}
 	}
 	for qi, q := range queries[:3] {
-		for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeNaive} {
+		for _, mode := range []Mode{ModeSpecQP, ModeTriniT} {
 			want, err := eng.Query(q, 8, mode)
 			if err != nil {
 				t.Fatal(err)
@@ -468,6 +510,8 @@ func TestDurableInsertHammer(t *testing.T) {
 			}
 			sameAnswers(t, fmt.Sprintf("hammer recovery query %d mode %v", qi, mode), got.Answers, want.Answers)
 		}
+		sameAnswers(t, fmt.Sprintf("hammer recovery query %d naive", qi),
+			naiveQuery(reng, q, 8).Answers, naiveQuery(eng, q, 8).Answers)
 	}
 }
 

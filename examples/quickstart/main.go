@@ -1,6 +1,6 @@
 // Command quickstart is the smallest end-to-end use of the specqp public
 // API: build a tiny scored knowledge graph, add two relaxation rules, and ask
-// for the top-3 multi-talented musicians under all three execution modes.
+// for the top-3 multi-talented musicians under the TriniT baseline and Spec-QP.
 package main
 
 import (
@@ -58,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	for _, mode := range []specqp.Mode{specqp.ModeTriniT, specqp.ModeSpecQP, specqp.ModeNaive} {
+	for _, mode := range []specqp.Mode{specqp.ModeTriniT, specqp.ModeSpecQP} {
 		res, err := eng.Query(q, 3, mode)
 		if err != nil {
 			log.Fatal(err)

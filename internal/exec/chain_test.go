@@ -85,7 +85,7 @@ func TestChainRelaxationTriniTMatchesNaive(t *testing.T) {
 	ex := New(st, rules)
 	for _, k := range []int{1, 2, 3, 10} {
 		tr := run(ex, planner.TriniTPlan(q, k))
-		nv := ex.Naive(q, k, 0)
+		nv := ex.Naive(q, k)
 		if len(tr.Answers) != len(nv.Answers) {
 			t.Fatalf("k=%d: TriniT %d vs Naive %d answers", k, len(tr.Answers), len(nv.Answers))
 		}

@@ -300,10 +300,10 @@ func (ex *Executor) Run(ctx context.Context, p planner.Plan, o RunOpts) (Result,
 }
 
 // Naive evaluates every relaxed query in the enumeration space completely,
-// merges with max-score dedup, sorts, and returns the top-k. limit caps the
-// number of relaxed queries evaluated (0 = all); memory objects count every
-// materialised answer.
-func (ex *Executor) Naive(q kg.Query, k, limit int) Result {
+// merges with max-score dedup, sorts, and returns the top-k; memory objects
+// count every materialised answer. It is the exhaustive reference the engine
+// modes are tested against, not a served mode.
+func (ex *Executor) Naive(q kg.Query, k int) Result {
 	start := time.Now()
 	origVS := kg.NewVarSet(q)
 	// One pin per Naive call: every relaxed query evaluates against the same
@@ -311,7 +311,7 @@ func (ex *Executor) Naive(q kg.Query, k, limit int) Result {
 	g := ex.Store.Pin()
 	var all []kg.Answer
 	var objects int64
-	for _, rq := range ex.Rules.Enumerate(q, limit) {
+	for _, rq := range ex.Rules.Enumerate(q, 0) {
 		var mask uint32
 		for i, ri := range rq.Applied {
 			if ri >= 0 {

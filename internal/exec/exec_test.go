@@ -96,7 +96,7 @@ func TestTriniTMatchesNaive(t *testing.T) {
 			q := w.randomQuery(rng, np)
 			for _, k := range []int{1, 5, 10} {
 				tr := run(ex, planner.TriniTPlan(q, k))
-				nv := ex.Naive(q, k, 0)
+				nv := ex.Naive(q, k)
 				if len(tr.Answers) != len(nv.Answers) {
 					t.Fatalf("trial %d np=%d k=%d: TriniT %d answers, Naive %d",
 						trial, np, k, len(tr.Answers), len(nv.Answers))
@@ -151,7 +151,7 @@ func TestSpecQPAnswersScoresValid(t *testing.T) {
 		q := w.randomQuery(rng, 2)
 		k := 5
 		s := run(ex, pl.Plan(q, k))
-		nv := ex.Naive(q, 1<<20, 0) // full sorted answer table
+		nv := ex.Naive(q, 1<<20) // full sorted answer table
 		valid := map[string]float64{}
 		for _, a := range nv.Answers {
 			valid[a.Binding.Key()] = a.Score
@@ -213,27 +213,9 @@ func TestResultMetricsPopulated(t *testing.T) {
 	if s.TotalTime() != s.ExecTime+time.Millisecond {
 		t.Fatal("total time must include planning")
 	}
-	n := ex.Naive(q, 5, 0)
+	n := ex.Naive(q, 5)
 	if n.MemoryObjects <= 0 && len(n.Answers) > 0 {
 		t.Fatal("naive memory objects not counted")
-	}
-}
-
-func TestNaiveLimitCapsWork(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	w := newRandomWorld(t, rng, 80, 5)
-	ex := New(w.st, w.rules)
-	q := w.randomQuery(rng, 2)
-	full := ex.Naive(q, 10, 0)
-	limited := ex.Naive(q, 10, 1) // original query only
-	if limited.MemoryObjects > full.MemoryObjects {
-		t.Fatal("limited naive did more work than full naive")
-	}
-	// With limit 1 only unrelaxed answers can appear.
-	for _, a := range limited.Answers {
-		if a.Relaxed != 0 {
-			t.Fatal("limit=1 must not produce relaxed answers")
-		}
 	}
 }
 

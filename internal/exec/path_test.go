@@ -83,7 +83,7 @@ func TestPathQueryTriniTMatchesNaive(t *testing.T) {
 		for qi, q := range queries {
 			for _, k := range []int{1, 5, 20} {
 				tr := run(ex, planner.TriniTPlan(q, k))
-				nv := ex.Naive(q, k, 0)
+				nv := ex.Naive(q, k)
 				if len(tr.Answers) != len(nv.Answers) {
 					t.Fatalf("trial %d q%d k=%d: TriniT %d vs Naive %d answers",
 						trial, qi, k, len(tr.Answers), len(nv.Answers))
@@ -115,7 +115,7 @@ func TestPathQuerySpecQPValid(t *testing.T) {
 	if got := len(res.Plan.JoinGroup) + len(res.Plan.Singletons); got != 2 {
 		t.Fatalf("plan covers %d patterns", got)
 	}
-	nv := ex.Naive(q, 1<<20, 0)
+	nv := ex.Naive(q, 1<<20)
 	best := map[string]float64{}
 	for _, a := range nv.Answers {
 		best[a.Binding.Key()] = a.Score

@@ -16,7 +16,6 @@ import (
 	"specqp/internal/exec"
 	"specqp/internal/metrics"
 	"specqp/internal/planner"
-	"specqp/internal/relax"
 	"specqp/internal/stats"
 )
 
@@ -69,9 +68,6 @@ func NewRunnerWith(ds *datagen.Dataset, buckets int, counter stats.Counter, ks [
 		Ks:      ks,
 	}
 }
-
-// Rules returns the dataset's rule set (convenience for callers).
-func (r *Runner) Rules() *relax.RuleSet { return r.Dataset.Rules }
 
 // RunQuery executes one workload query at one k under both engines,
 // following the configured measurement protocol (see Runs).

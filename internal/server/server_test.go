@@ -202,6 +202,25 @@ func TestQueryBadRequests(t *testing.T) {
 	}
 }
 
+// TestQueryRejectsNaiveMode: "naive" is not a served mode. The request fails
+// with 400 before reaching the engine, and the error names the valid modes.
+func TestQueryRejectsNaiveMode(t *testing.T) {
+	srv := New(Config{Backend: testEngine(t)})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	status, out := postJSON(t, ts.URL+"/query", map[string]any{"query": fixtureSPARQL, "mode": "naive"})
+	if status != http.StatusBadRequest {
+		t.Fatalf("status %d want 400 (%v)", status, out)
+	}
+	if errStr, _ := out["error"].(string); !strings.Contains(errStr, "spec-qp, trinit or exact") {
+		t.Fatalf("error does not name the valid modes: %v", out)
+	}
+	if got := srv.Metrics().EngineQueries.Load(); got != 0 {
+		t.Fatalf("naive request reached the engine: %d", got)
+	}
+}
+
 func TestBatchEndpoint(t *testing.T) {
 	eng := testEngine(t)
 	srv := New(Config{Backend: eng})
@@ -212,12 +231,12 @@ func TestBatchEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := eng.Query(q, 2, specqp.ModeNaive)
+	oracle, err := eng.Query(q, 2, specqp.ModeTriniT)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	lines := fmt.Sprintf("{\"query\":%q,\"k\":2,\"mode\":\"naive\"}\n{\"query\":\"garbage\"}\n{\"query\":%q}\n",
+	lines := fmt.Sprintf("{\"query\":%q,\"k\":2,\"mode\":\"trinit\"}\n{\"query\":\"garbage\"}\n{\"query\":%q}\n",
 		fixtureSPARQL, fixtureSPARQL)
 	resp, err := http.Post(ts.URL+"/batch", "application/x-ndjson", strings.NewReader(lines))
 	if err != nil {

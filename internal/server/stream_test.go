@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -51,10 +52,47 @@ func postRaw(t *testing.T, url, body string, hdr map[string]string) (int, http.H
 	return resp.StatusCode, resp.Header, raw
 }
 
+// postStreamTimed is postRaw for streamed responses: it reads the body line
+// by line as a streaming client would and also clocks, from the moment the
+// request is sent, the first answer line (time to first answer) and the end
+// of the body (full drain).
+func postStreamTimed(t *testing.T, url, body string, hdr map[string]string) (status int, h http.Header, raw []byte, ttfa, drain time.Duration) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	rd := bufio.NewReader(resp.Body)
+	for {
+		line, err := rd.ReadBytes('\n')
+		if ttfa == 0 && bytes.Contains(line, []byte(`"answer"`)) {
+			ttfa = time.Since(start)
+		}
+		raw = append(raw, line...)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, resp.Header, raw, ttfa, time.Since(start)
+}
+
 // TestStreamQueryMatchesBuffered: a streamed /query ("stream":true or the
 // Accept header) delivers exactly the buffered response's answers — same
 // order, same scores, same bindings — as individual lines plus a trailer
-// carrying what the buffered envelope carried.
+// carrying what the buffered envelope carried. Per request, the first answer
+// arrives no later than the full drain.
 func TestStreamQueryMatchesBuffered(t *testing.T) {
 	eng := testEngine(t)
 	srv := New(Config{Backend: eng})
@@ -79,9 +117,12 @@ func TestStreamQueryMatchesBuffered(t *testing.T) {
 		"body flag":     {body: fmt.Sprintf(`{"query":%q,"k":3,"mode":"trinit","stream":true}`, fixtureSPARQL)},
 		"accept header": {body: fmt.Sprintf(`{"query":%q,"k":3,"mode":"trinit"}`, fixtureSPARQL), hdr: map[string]string{"Accept": "application/x-ndjson"}},
 	} {
-		status, hdr, raw := postRaw(t, ts.URL+"/query", variant.body, variant.hdr)
+		status, hdr, raw, ttfa, drain := postStreamTimed(t, ts.URL+"/query", variant.body, variant.hdr)
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d (%s)", name, status, raw)
+		}
+		if ttfa <= 0 || ttfa > drain {
+			t.Fatalf("%s: time to first answer %v, full drain %v", name, ttfa, drain)
 		}
 		if ct := hdr.Get("Content-Type"); ct != "application/x-ndjson" {
 			t.Fatalf("%s: content type %q", name, ct)
@@ -122,6 +163,9 @@ func TestStreamQueryMatchesBuffered(t *testing.T) {
 	if got := srv.Metrics().FirstAnswer.Count(); got != 2 {
 		t.Fatalf("FirstAnswer observations: %d, want 2 (one per streamed query)", got)
 	}
+	if p50 := srv.Metrics().FirstAnswer.Quantile(0.5); p50 <= 0 {
+		t.Fatalf("server-side first-answer p50 %v, want > 0", p50)
+	}
 	if got := srv.Metrics().StreamedAnswers.Load(); got != int64(2*len(want)) {
 		t.Fatalf("streamed answers counter: %d, want %d", got, 2*len(want))
 	}
@@ -155,11 +199,11 @@ func TestStreamBatchDemux(t *testing.T) {
 	defer ts.Close()
 
 	_, buffered := postJSON(t, ts.URL+"/query", map[string]any{
-		"query": fixtureSPARQL, "k": 2, "mode": "naive",
+		"query": fixtureSPARQL, "k": 2, "mode": "trinit",
 	})
 	want := buffered["answers"].([]any)
 
-	lines := fmt.Sprintf("{\"query\":%q,\"k\":2,\"mode\":\"naive\",\"stream\":true}\n{\"query\":\"garbage\"}\n{\"query\":%q}\n",
+	lines := fmt.Sprintf("{\"query\":%q,\"k\":2,\"mode\":\"trinit\",\"stream\":true}\n{\"query\":\"garbage\"}\n{\"query\":%q}\n",
 		fixtureSPARQL, fixtureSPARQL)
 	status, _, raw := postRaw(t, ts.URL+"/batch", lines, map[string]string{"Content-Type": "application/x-ndjson"})
 	if status != http.StatusOK {

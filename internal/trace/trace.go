@@ -266,7 +266,7 @@ func (n *Node) restore(s *NodeStats) {
 // Trace is one query execution's full trace: the planner's decisions, the
 // phase wall times, and the operator tree.
 type Trace struct {
-	// Mode is the engine mode that executed (spec-qp, trinit, naive, exact).
+	// Mode is the engine mode that executed (spec-qp, trinit, exact).
 	Mode string `json:"mode"`
 	// K is the requested answer count.
 	K int `json:"k"`
@@ -283,7 +283,7 @@ type Trace struct {
 	// answer-objects-created metric.
 	Answers       int   `json:"answers"`
 	MemoryObjects int64 `json:"memory_objects"`
-	// Root is the operator tree (nil for modes without one, e.g. naive).
+	// Root is the operator tree (nil only on a header-only trace).
 	Root *Node `json:"root,omitempty"`
 }
 

@@ -62,12 +62,12 @@ func TestRenderGolden(t *testing.T) {
 
 // TestRenderCacheMissAndNilRoot covers the header variants: the header
 // carries no plan-cache field (there is no plan cache to hit or miss), a
-// rootless trace (naive mode) renders only the header line, and a nil trace
+// rootless (header-only) trace renders only the header line, and a nil trace
 // renders empty.
 func TestRenderCacheMissAndNilRoot(t *testing.T) {
-	tr := &Trace{Mode: "naive", K: 10, Answers: 2, MemoryObjects: 7}
+	tr := &Trace{Mode: "exact", K: 10, Answers: 2, MemoryObjects: 7}
 	got := Render(tr)
-	want := "mode=naive k=10 answers=2 objects=7\n"
+	want := "mode=exact k=10 answers=2 objects=7\n"
 	if got != want {
 		t.Errorf("got %q want %q", got, want)
 	}

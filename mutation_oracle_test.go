@@ -79,8 +79,10 @@ func TestMutatedInterleavedOracle(t *testing.T) {
 				flat.Freeze()
 				ref := NewEngineWith(flat, rules, Options{Shards: 1})
 				for qi, q := range queries[:3] {
-					for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeNaive} {
-						k := 3 + qi + int(trial)
+					k := 3 + qi + int(trial)
+					label := fmt.Sprintf("trial %d shards=%d l1=%d pos=%d survivors=%d tombs=%d query %d k=%d",
+						trial, shards, l1Limit, pos, len(model.facts), live.Tombstones(), qi, k)
+					for _, mode := range []Mode{ModeSpecQP, ModeTriniT} {
 						want, err := ref.Query(q, k, mode)
 						if err != nil {
 							t.Fatal(err)
@@ -89,13 +91,12 @@ func TestMutatedInterleavedOracle(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						label := fmt.Sprintf("trial %d shards=%d l1=%d pos=%d survivors=%d tombs=%d query %d mode %v k=%d",
-							trial, shards, l1Limit, pos, len(model.facts), live.Tombstones(), qi, mode, k)
-						sameAnswers(t, label, got.Answers, want.Answers)
+						sameAnswers(t, fmt.Sprintf("%s mode %v", label, mode), got.Answers, want.Answers)
 						if mode == ModeSpecQP && got.Plan.RelaxMask() != want.Plan.RelaxMask() {
 							t.Fatalf("%s: plan relax mask %b, want %b", label, got.Plan.RelaxMask(), want.Plan.RelaxMask())
 						}
 					}
+					sameAnswers(t, label+" naive", naiveQuery(eng, q, k).Answers, naiveQuery(ref, q, k).Answers)
 				}
 			}
 			// randomKey picks a key biased toward live facts so deletes and
@@ -155,11 +156,12 @@ func TestMutatedInterleavedOracle(t *testing.T) {
 }
 
 // TestMutateQueryRaceHammer is the -race companion to the oracle: concurrent
-// writers (insert/delete/update/compact) and readers (all three query modes)
-// over one live sharded engine. Readers don't check answers against a moving
-// target — the oracle above owns semantics — they check that every answer set
-// is internally consistent and that the snapshot isolation the storeState
-// pointer promises holds under churn (no panics, no torn reads, -race clean).
+// writers (insert/delete/update/compact) and readers (both paper engines and
+// the naive reference) over one live sharded engine. Readers don't check
+// answers against a moving target — the oracle above owns semantics — they
+// check that every answer set is internally consistent and that the
+// snapshot isolation the storeState pointer promises holds under churn (no
+// panics, no torn reads, -race clean).
 func TestMutateQueryRaceHammer(t *testing.T) {
 	dict, triples, rules, queries := randomLiveFixture(t, 8181)
 	base := len(triples) / 2
@@ -207,7 +209,6 @@ func TestMutateQueryRaceHammer(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			modes := []Mode{ModeSpecQP, ModeTriniT, ModeNaive}
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -215,7 +216,16 @@ func TestMutateQueryRaceHammer(t *testing.T) {
 				default:
 				}
 				q := queries[(w+i)%len(queries)]
-				res, err := eng.Query(q, 5, modes[i%3])
+				var res Result
+				var err error
+				switch i % 3 {
+				case 0:
+					res, err = eng.Query(q, 5, ModeSpecQP)
+				case 1:
+					res, err = eng.Query(q, 5, ModeTriniT)
+				default:
+					res = naiveQuery(eng, q, 5)
+				}
 				if err != nil {
 					t.Error(err)
 					return

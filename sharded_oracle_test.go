@@ -129,9 +129,10 @@ func sameAnswers(t *testing.T, label string, got, want []Answer) {
 }
 
 // TestShardedEnginesBitIdentical is the oracle property test of the sharded
-// engine: for randomized stores, every shard count and every mode returns
-// exactly the unsharded engine's answers — order, scores, relaxation
-// provenance and the Spec-QP plan's relaxation decisions included.
+// engine: for randomized stores, every shard count returns exactly the
+// unsharded engine's answers under both paper engines and the naive
+// reference — order, scores, relaxation provenance and the Spec-QP plan's
+// relaxation decisions included.
 func TestShardedEnginesBitIdentical(t *testing.T) {
 	for trial := int64(0); trial < 5; trial++ {
 		st, rules, queries := randomEngineFixture(t, 3100+trial)
@@ -142,8 +143,9 @@ func TestShardedEnginesBitIdentical(t *testing.T) {
 				t.Fatalf("shards=%d: engine graph is %T", shards, eng.Graph())
 			}
 			for qi, q := range queries {
-				for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeNaive} {
-					k := 1 + int(trial)%9 + qi
+				k := 1 + int(trial)%9 + qi
+				label := fmt.Sprintf("trial %d shards=%d query %d k=%d", trial, shards, qi, k)
+				for _, mode := range []Mode{ModeSpecQP, ModeTriniT} {
 					want, err := base.Query(q, k, mode)
 					if err != nil {
 						t.Fatal(err)
@@ -152,23 +154,23 @@ func TestShardedEnginesBitIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("trial %d shards=%d query %d mode %v k=%d", trial, shards, qi, mode, k)
-					sameAnswers(t, label, got.Answers, want.Answers)
+					sameAnswers(t, fmt.Sprintf("%s mode %v", label, mode), got.Answers, want.Answers)
 					if mode == ModeSpecQP && got.Plan.RelaxMask() != want.Plan.RelaxMask() {
 						t.Fatalf("%s: plan relax mask %b, want %b", label, got.Plan.RelaxMask(), want.Plan.RelaxMask())
 					}
 				}
+				sameAnswers(t, label+" naive", naiveQuery(eng, q, k).Answers, naiveQuery(base, q, k).Answers)
 			}
 		}
 	}
 }
 
-// TestShardedEnginesMatchEvaluateOracle checks the exhaustive modes against
-// the ground-truth evaluator on the *flat* store: TriniT (no rules) and
-// Naive must return the oracle's top-k exactly, at every shard count. With
-// rules, Naive is compared against the weighted-enumeration oracle implied
-// by its own unsharded run — already covered above — so this test drops the
-// rules to make Evaluate the direct oracle.
+// TestShardedEnginesMatchEvaluateOracle checks the engines and the naive
+// reference against the ground-truth evaluator on the *flat* store: with no
+// rules every one must return the oracle's top-k exactly, at every shard
+// count. With rules, Naive is compared against its own unsharded run —
+// already covered above — so this test drops the rules to make Evaluate the
+// direct oracle.
 func TestShardedEnginesMatchEvaluateOracle(t *testing.T) {
 	for trial := int64(0); trial < 4; trial++ {
 		st, _, queries := randomEngineFixture(t, 5200+trial)
@@ -178,12 +180,16 @@ func TestShardedEnginesMatchEvaluateOracle(t *testing.T) {
 			for qi, q := range queries {
 				oracle := st.Evaluate(q)
 				const k = 10
-				for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeNaive} {
+				results := map[string]Result{"naive": naiveQuery(eng, q, k)}
+				for _, mode := range []Mode{ModeSpecQP, ModeTriniT} {
 					res, err := eng.Query(q, k, mode)
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("trial %d shards=%d query %d mode %v", trial, shards, qi, mode)
+					results[mode.String()] = res
+				}
+				for arm, res := range results {
+					label := fmt.Sprintf("trial %d shards=%d query %d %s", trial, shards, qi, arm)
 					wantLen := k
 					if len(oracle) < k {
 						wantLen = len(oracle)
@@ -259,7 +265,7 @@ func TestNewEngineOverShardedStore(t *testing.T) {
 	}
 	base := NewEngineWith(st, rules, Options{})
 	for qi, q := range queries {
-		for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeNaive} {
+		for _, mode := range []Mode{ModeSpecQP, ModeTriniT} {
 			want, err := base.Query(q, 10, mode)
 			if err != nil {
 				t.Fatal(err)
@@ -270,6 +276,8 @@ func TestNewEngineOverShardedStore(t *testing.T) {
 			}
 			sameAnswers(t, fmt.Sprintf("NewEngineOver query %d mode %v", qi, mode), got.Answers, want.Answers)
 		}
+		sameAnswers(t, fmt.Sprintf("NewEngineOver query %d naive", qi),
+			naiveQuery(eng, q, 10).Answers, naiveQuery(base, q, 10).Answers)
 	}
 }
 
@@ -278,9 +286,10 @@ func TestNewEngineOverShardedStore(t *testing.T) {
 // against a live sharded engine must be bit-identical — answers, scores,
 // relaxation provenance, Spec-QP plan decisions — to a flat engine rebuilt
 // from scratch over the same triple prefix, at every checkpoint, across the
-// whole shard-count ladder and all three execution modes. Trials rotate the
-// head limit through aggressive auto-compaction (5), manual-only (-1) and
-// the default, so checkpoints land on every head/frozen mixture.
+// whole shard-count ladder, both paper engines and the naive reference.
+// Trials rotate the head limit through aggressive auto-compaction (5),
+// manual-only (-1) and the default, so checkpoints land on every head/frozen
+// mixture.
 func TestLiveInterleavedOracle(t *testing.T) {
 	headLimits := []int{5, -1, 0}
 	for trial := int64(0); trial < 3; trial++ {
@@ -311,8 +320,10 @@ func TestLiveInterleavedOracle(t *testing.T) {
 				flat.Freeze()
 				ref := NewEngineWith(flat, rules, Options{Shards: 1})
 				for qi, q := range queries[:3] {
-					for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeNaive} {
-						k := 3 + qi + int(trial)
+					k := 3 + qi + int(trial)
+					label := fmt.Sprintf("trial %d shards=%d pos=%d/%d head=%d query %d k=%d",
+						trial, shards, pos, len(triples), live.HeadLen(), qi, k)
+					for _, mode := range []Mode{ModeSpecQP, ModeTriniT} {
 						want, err := ref.Query(q, k, mode)
 						if err != nil {
 							t.Fatal(err)
@@ -321,13 +332,12 @@ func TestLiveInterleavedOracle(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						label := fmt.Sprintf("trial %d shards=%d pos=%d/%d head=%d query %d mode %v k=%d",
-							trial, shards, pos, len(triples), live.HeadLen(), qi, mode, k)
-						sameAnswers(t, label, got.Answers, want.Answers)
+						sameAnswers(t, fmt.Sprintf("%s mode %v", label, mode), got.Answers, want.Answers)
 						if mode == ModeSpecQP && got.Plan.RelaxMask() != want.Plan.RelaxMask() {
 							t.Fatalf("%s: plan relax mask %b, want %b", label, got.Plan.RelaxMask(), want.Plan.RelaxMask())
 						}
 					}
+					sameAnswers(t, label+" naive", naiveQuery(eng, q, k).Answers, naiveQuery(ref, q, k).Answers)
 				}
 			}
 			check() // freeze point, before any live insert

@@ -73,7 +73,7 @@ type (
 	// Plan is a speculative query plan.
 	Plan = planner.Plan
 	// QueryTrace is the execution trace QueryTraced attaches to its Result:
-	// planner decisions (mode, shape key, plan-cache hit, relaxation count)
+	// planner decisions (mode, shape key, relaxation count, planning time)
 	// plus a plan-shaped tree of per-operator counters. It marshals to JSON
 	// and renders as text via RenderTrace.
 	QueryTrace = trace.Trace
@@ -144,8 +144,6 @@ const (
 	ModeSpecQP Mode = iota
 	// ModeTriniT processes every relaxation of every pattern (baseline).
 	ModeTriniT
-	// ModeNaive evaluates every relaxed query completely (strawman).
-	ModeNaive
 	// ModeExact executes the query with no relaxations at all: a pure rank
 	// join over the original patterns' sorted lists, answering with the exact
 	// unrelaxed top-k. It is the cheapest mode — no Incremental Merges, no
@@ -161,8 +159,6 @@ func (m Mode) String() string {
 		return "spec-qp"
 	case ModeTriniT:
 		return "trinit"
-	case ModeNaive:
-		return "naive"
 	case ModeExact:
 		return "exact"
 	default:
@@ -171,19 +167,17 @@ func (m Mode) String() string {
 }
 
 // ParseMode parses a mode name as rendered by Mode.String: "spec-qp" (or
-// "specqp"), "trinit", "naive", "exact".
+// "specqp"), "trinit", "exact".
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "spec-qp", "specqp":
 		return ModeSpecQP, nil
 	case "trinit":
 		return ModeTriniT, nil
-	case "naive":
-		return ModeNaive, nil
 	case "exact":
 		return ModeExact, nil
 	default:
-		return 0, fmt.Errorf("specqp: unknown mode %q (want spec-qp, trinit, naive or exact)", s)
+		return 0, fmt.Errorf("specqp: unknown mode %q (want spec-qp, trinit or exact)", s)
 	}
 }
 
@@ -196,9 +190,6 @@ type Options struct {
 	// from exact counting (the paper's setting) to an independence-based
 	// estimate.
 	EstimatedSelectivity bool
-	// NaiveLimit caps the number of relaxed queries ModeNaive evaluates
-	// (0 = all of them).
-	NaiveLimit int
 	// BatchWorkers bounds QueryBatch's worker pool (0 = GOMAXPROCS).
 	BatchWorkers int
 	// Shards selects the storage layout the engine queries. 0 or 1 keeps
@@ -246,10 +237,10 @@ type Options struct {
 	// WALSegmentSize is the log rotation threshold in bytes
 	// (0 = wal.DefaultSegmentSize).
 	WALSegmentSize int64
-	// CheckpointBytes is the WAL size at which a durable engine snapshots
-	// and truncates the log automatically: 0 selects DefaultCheckpointBytes,
-	// negative disables automatic checkpoints (Compact and Checkpoint still
-	// persist on demand).
+	// CheckpointBytes is how many WAL bytes a durable engine appends
+	// between automatic snapshot-and-truncate checkpoints: 0 selects
+	// DefaultCheckpointBytes, negative disables automatic checkpoints
+	// (Compact and Checkpoint still persist on demand).
 	CheckpointBytes int64
 }
 
@@ -425,11 +416,10 @@ func (e *Engine) Query(q Query, k int, mode Mode) (Result, error) {
 	return e.run(context.Background(), q, k, mode, nil, false)
 }
 
-// QueryContext is Query with cancellation support for the operator-based
-// modes: a cancelled context returns the partial top-k gathered so far
-// together with the context error, and a ModeSpecQP query whose context is
-// already done returns before planning. ModeNaive ignores the context. It is
-// QueryStream with a nil emitter.
+// QueryContext is Query with cancellation support: a cancelled context
+// returns the partial top-k gathered so far together with the context error,
+// and a ModeSpecQP query whose context is already done returns before
+// planning. It is QueryStream with a nil emitter.
 func (e *Engine) QueryContext(ctx context.Context, q Query, k int, mode Mode) (Result, error) {
 	return e.run(ctx, q, k, mode, nil, false)
 }
@@ -449,10 +439,7 @@ type AnswerEmitter = exec.AnswerEmitFunc
 //
 // Cancellation keeps QueryContext's contract: a context expiring mid-stream
 // stops the operators within a bounded number of probes (AbortStride) and
-// returns the emitted prefix together with ctx.Err(). ModeNaive evaluates
-// exhaustively and cannot prove finality incrementally; it computes the full
-// top-k first and then replays it through emit, so the wire protocol is
-// uniform across modes even though Naive gains no latency.
+// returns the emitted prefix together with ctx.Err().
 func (e *Engine) QueryStream(ctx context.Context, q Query, k int, mode Mode, emit AnswerEmitter) (Result, error) {
 	return e.run(ctx, q, k, mode, emit, false)
 }
@@ -463,8 +450,7 @@ func (e *Engine) QueryStream(ctx context.Context, q Query, k int, mode Mode, emi
 // counters — pulls, emissions, dedup drops, bound trajectory samples, abort
 // polls, arena bytes. Tracing changes only what is recorded, never what is
 // computed: answers are bit-identical to QueryContext's (the oracle tests pin
-// this down). ModeNaive has no operator tree; its trace carries only the
-// header fields.
+// this down).
 func (e *Engine) QueryTraced(ctx context.Context, q Query, k int, mode Mode) (Result, error) {
 	return e.run(ctx, q, k, mode, nil, true)
 }
@@ -472,8 +458,7 @@ func (e *Engine) QueryTraced(ctx context.Context, q Query, k int, mode Mode) (Re
 // run is the one query path every entry point executes: validate, build the
 // mode's plan, drain it through the executor, stamp planning time and the
 // trace header. The modes differ only in the plan — Spec-QP plans
-// speculatively, TriniT relaxes every pattern, Exact none — except ModeNaive,
-// which evaluates exhaustively instead of running a plan.
+// speculatively, TriniT relaxes every pattern, Exact none.
 func (e *Engine) run(ctx context.Context, q Query, k int, mode Mode, emit AnswerEmitter, traced bool) (Result, error) {
 	if k < 1 {
 		return Result{}, fmt.Errorf("specqp: k must be >= 1, got %d", k)
@@ -501,8 +486,6 @@ func (e *Engine) run(ctx context.Context, q Query, k int, mode Mode, emit Answer
 		p = planner.TriniTPlan(q, k)
 	case ModeExact:
 		p = planner.ExactPlan(q, k)
-	case ModeNaive:
-		return e.naive(q, k, emit, traced), nil
 	default:
 		return Result{}, fmt.Errorf("specqp: unknown mode %v", mode)
 	}
@@ -515,31 +498,6 @@ func (e *Engine) run(ctx context.Context, q Query, k int, mode Mode, emit Answer
 		res.Trace.PlanUS = planTime.Microseconds()
 	}
 	return res, err
-}
-
-// naive runs ModeNaive: the exhaustive top-k, replayed through emit. An emit
-// returning false cuts the result to the answers emitted so far, as for the
-// operator modes.
-func (e *Engine) naive(q Query, k int, emit AnswerEmitter, traced bool) Result {
-	res := e.exec.Naive(q, k, e.opts.NaiveLimit)
-	if emit != nil {
-		for i, a := range res.Answers {
-			if !emit(a) {
-				res.Answers = res.Answers[:i+1]
-				break
-			}
-		}
-	}
-	if traced {
-		res.Trace = &trace.Trace{
-			Mode:          ModeNaive.String(),
-			K:             k,
-			ExecUS:        res.ExecTime.Microseconds(),
-			Answers:       len(res.Answers),
-			MemoryObjects: res.MemoryObjects,
-		}
-	}
-	return res
 }
 
 // ExplainString executes q traced and renders both halves of the story: the

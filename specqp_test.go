@@ -53,10 +53,7 @@ func TestEngineModesAgreeOnTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, err := eng.Query(q, 3, ModeNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nv := naiveQuery(eng, q, 3)
 	if len(tr.Answers) != 3 || len(nv.Answers) != 3 {
 		t.Fatalf("answer counts: trinit=%d naive=%d", len(tr.Answers), len(nv.Answers))
 	}
@@ -144,10 +141,33 @@ func TestEnginePatternStats(t *testing.T) {
 
 func TestModeString(t *testing.T) {
 	for m, want := range map[Mode]string{
-		ModeSpecQP: "spec-qp", ModeTriniT: "trinit", ModeNaive: "naive", Mode(9): "Mode(9)",
+		ModeSpecQP: "spec-qp", ModeTriniT: "trinit", ModeExact: "exact", Mode(9): "Mode(9)",
 	} {
 		if got := m.String(); got != want {
 			t.Errorf("%d: got %q want %q", int(m), got, want)
+		}
+	}
+}
+
+// TestParseMode pins the wire spellings: every served mode round-trips
+// through String, and the retired "naive" spelling is rejected with an error
+// that names the valid modes.
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{ModeSpecQP, ModeTriniT, ModeExact} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if got, err := ParseMode("specqp"); err != nil || got != ModeSpecQP {
+		t.Errorf("ParseMode(specqp) = %v, %v", got, err)
+	}
+	for _, s := range []string{"naive", "", "Mode(9)"} {
+		_, err := ParseMode(s)
+		if err == nil {
+			t.Fatalf("ParseMode(%q) accepted", s)
+		}
+		if !strings.Contains(err.Error(), "spec-qp, trinit or exact") {
+			t.Fatalf("ParseMode(%q) error does not name the valid modes: %v", s, err)
 		}
 	}
 }
@@ -208,7 +228,6 @@ func TestEngineOptions(t *testing.T) {
 	e2 := NewEngineWith(st, NewRuleSet(), Options{
 		HistogramBuckets:     4,
 		EstimatedSelectivity: true,
-		NaiveLimit:           3,
 	})
 	if !e2.Store().Frozen() {
 		t.Fatal("engine did not freeze the store")
@@ -266,10 +285,6 @@ func TestEngineQueryContext(t *testing.T) {
 	if _, err := eng.QueryContext(ctx, q, 3, ModeTriniT); err != context.Canceled {
 		t.Fatalf("cancelled context: err=%v", err)
 	}
-	// Naive mode ignores the context but still works.
-	if _, err := eng.QueryContext(ctx, q, 3, ModeNaive); err != nil {
-		t.Fatalf("naive with cancelled ctx: %v", err)
-	}
 	if _, err := eng.QueryContext(context.Background(), q, 0, ModeSpecQP); err == nil {
 		t.Fatal("k=0 accepted")
 	}
@@ -287,7 +302,9 @@ func TestEngineQueryContext(t *testing.T) {
 func TestHugeKReturnsEveryAnswer(t *testing.T) {
 	eng, q := engineFixture(t)
 	ctx := context.Background()
-	for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeExact, ModeNaive} {
+	got, all := naiveQuery(eng, q, math.MaxInt), naiveQuery(eng, q, 1000)
+	sameAnswers(t, "naive reference at k=MaxInt", got.Answers, all.Answers)
+	for _, mode := range []Mode{ModeSpecQP, ModeTriniT, ModeExact} {
 		want, err := eng.Query(q, 1000, mode)
 		if err != nil {
 			t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // test (internal/operators); together they pin incremental emission end to
 // end.
 
-var streamOracleModes = []Mode{ModeSpecQP, ModeTriniT, ModeNaive, ModeExact}
+var streamOracleModes = []Mode{ModeSpecQP, ModeTriniT, ModeExact}
 
 // TestStreamingPrefixOracle: for randomized stores, every shard count and
 // every mode, the streamed emission sequence equals the buffered Query
@@ -32,7 +32,7 @@ func TestStreamingPrefixOracle(t *testing.T) {
 	for trial := int64(0); trial < 3; trial++ {
 		st, rules, queries := randomEngineFixture(t, 7400+trial)
 		for _, shards := range oracleShardCounts {
-			eng := NewEngineWith(st, rules, Options{Shards: shards, NaiveLimit: 3})
+			eng := NewEngineWith(st, rules, Options{Shards: shards})
 			for qi, q := range queries {
 				k := 2 + (qi+int(trial))%8
 				for _, mode := range streamOracleModes {
