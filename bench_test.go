@@ -520,7 +520,7 @@ func BenchmarkExactCount(b *testing.B) {
 	xkg, _ := benchDatasets(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		xkg.Store.Count(xkg.Queries[i%len(xkg.Queries)].Query)
+		kg.Count(xkg.Store, xkg.Queries[i%len(xkg.Queries)].Query)
 	}
 }
 
@@ -699,27 +699,6 @@ func BenchmarkCompact(b *testing.B) {
 				}
 				b.StartTimer()
 				ss.CompactShard(target)
-			}
-		})
-	}
-}
-
-// BenchmarkShardedCount measures the shard-parallel exact counter (the
-// planner's join-cardinality source) against the flat sequential walk on the
-// same queries. The parallel fast path engages on duplicate-free stores;
-// XKG's generator emits unique triples, so this is the live path.
-func BenchmarkShardedCount(b *testing.B) {
-	xkg, _ := benchDatasets(b)
-	b.Run("flat", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			xkg.Store.Count(xkg.Queries[i%len(xkg.Queries)].Query)
-		}
-	})
-	for _, shards := range shardedBenchCounts()[1:] {
-		ss := kg.NewShardedStoreFrom(xkg.Store, shards)
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ss.Count(xkg.Queries[i%len(xkg.Queries)].Query)
 			}
 		})
 	}

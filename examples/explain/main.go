@@ -64,7 +64,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  pattern %d %s: m=%d σr=%.4f Sr=%.2f Sm=%.2f\n",
-			i, st.PatternString(p), stats.M, stats.SigmaR, stats.SR, stats.SM)
+			i, st.Dict().PatternString(p), stats.M, stats.SigmaR, stats.SR, stats.SM)
 	}
 
 	for _, k := range []int{5, 20, 60} {

@@ -82,12 +82,12 @@ func TestXKGDeterministic(t *testing.T) {
 		t.Fatal("same seed, different query counts")
 	}
 	for i := range a.Queries {
-		if a.Store.QueryString(a.Queries[i].Query) != b.Store.QueryString(b.Queries[i].Query) {
+		if a.Store.Dict().QueryString(a.Queries[i].Query) != b.Store.Dict().QueryString(b.Queries[i].Query) {
 			t.Fatalf("query %d differs between identical seeds", i)
 		}
 	}
 	c := smallXKGFresh(t, 6)
-	if a.Store.Len() == c.Store.Len() && a.Store.QueryString(a.Queries[0].Query) == c.Store.QueryString(c.Queries[0].Query) {
+	if a.Store.Len() == c.Store.Len() && a.Store.Dict().QueryString(a.Queries[0].Query) == c.Store.Dict().QueryString(c.Queries[0].Query) {
 		t.Fatal("different seeds produced identical datasets")
 	}
 }
@@ -103,7 +103,7 @@ func TestXKGWorkloadShape(t *testing.T) {
 	// Every query must be non-empty (paper: queries "constructed so as to
 	// have non-empty result sets").
 	for i, qs := range ds.Queries {
-		if ds.Store.Count(qs.Query) == 0 {
+		if kg.Count(ds.Store, qs.Query) == 0 {
 			t.Fatalf("query %d (%s) has no answers", i, qs.Name)
 		}
 		if qs.Name == "" {
@@ -187,7 +187,7 @@ func TestTwitterWorkloadShape(t *testing.T) {
 		if np < 2 || np > 3 {
 			t.Fatalf("query %d has %d patterns (want 2-3)", i, np)
 		}
-		if ds.Store.Count(qs.Query) == 0 {
+		if kg.Count(ds.Store, qs.Query) == 0 {
 			t.Fatalf("query %d empty", i)
 		}
 		// ≥5 relaxations per pattern (paper).

@@ -158,7 +158,7 @@ func Twitter(cfg TwitterConfig) (*Dataset, error) {
 				continue
 			}
 			q := kg.NewQuery(pats...)
-			n := st.Count(q)
+			n := kg.Count(st, q)
 			if n == 0 {
 				continue
 			}

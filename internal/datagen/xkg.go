@@ -258,7 +258,7 @@ func XKG(cfg XKGConfig) (*Dataset, error) {
 				continue
 			}
 			q := kg.NewQuery(pats...)
-			n := st.Count(q)
+			n := kg.Count(st, q)
 			switch {
 			case n >= 1 && n < 12 && scarce < scarceWant:
 				scarce++

@@ -318,7 +318,7 @@ func (ex *Executor) Naive(q kg.Query, k int) Result {
 				mask |= 1 << uint(i)
 			}
 		}
-		answers := g.EvaluateWeighted(rq.Query, rq.PatternWeights)
+		answers := kg.Evaluate(g, rq.Query, rq.PatternWeights)
 		objects += int64(len(answers))
 		// Chain relaxations introduce existential variables; project every
 		// answer onto the original query's variable set so answers from

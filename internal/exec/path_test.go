@@ -156,7 +156,7 @@ func TestPathQueryCycle(t *testing.T) {
 	if len(res.Answers) != 2 {
 		t.Fatalf("cycles: got %d want 2", len(res.Answers))
 	}
-	ref := st.Evaluate(q)
+	ref := kg.Evaluate(st, q, nil)
 	if len(ref) != 2 {
 		t.Fatalf("evaluate cycles: got %d want 2", len(ref))
 	}

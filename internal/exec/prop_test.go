@@ -14,7 +14,7 @@ import (
 // refactor: on randomized stores (duplicates included) it checks the
 // physical operator pipeline — LeftDeep rank joins over ListScans, and
 // IncrementalMerge over weighted relaxation scans — answer-for-answer
-// against the Store.Evaluate / EvaluateWeighted oracle.
+// against the kg.Evaluate oracle (plain and weighted).
 
 // randStore builds a random store over a small vocabulary. Roughly a third
 // of the trials get duplicate (s,p,o) triples with differing scores, so both
@@ -100,7 +100,7 @@ func compareAnswerSets(t *testing.T, trial int64, got, want []kg.Answer, label s
 
 // TestPropertyLeftDeepAgainstEvaluateOracle drains a left-deep rank-join
 // tree over plain ListScans and compares the complete result set against
-// Store.Evaluate.
+// kg.Evaluate.
 func TestPropertyLeftDeepAgainstEvaluateOracle(t *testing.T) {
 	for trial := int64(0); trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(500 + trial))
@@ -123,12 +123,12 @@ func TestPropertyLeftDeepAgainstEvaluateOracle(t *testing.T) {
 		for i, e := range entries {
 			got[i] = kg.Answer{Binding: e.Binding, Score: e.Score}
 		}
-		compareAnswerSets(t, trial, got, st.Evaluate(q), "LeftDeep")
+		compareAnswerSets(t, trial, got, kg.Evaluate(st, q, nil), "LeftDeep")
 	}
 }
 
 // TestPropertyIncrementalMergeAgainstWeightedOracle merges a pattern with
-// two weighted relaxations and compares against per-pattern EvaluateWeighted
+// two weighted relaxations and compares against per-pattern weighted Evaluate
 // runs projected onto the original variable set and deduped by max score —
 // the max-over-derivations rule the merge implements incrementally.
 func TestPropertyIncrementalMergeAgainstWeightedOracle(t *testing.T) {
@@ -167,7 +167,7 @@ func TestPropertyIncrementalMergeAgainstWeightedOracle(t *testing.T) {
 		project := func(p kg.Pattern, w float64) {
 			pq := kg.NewQuery(p)
 			pvs := kg.NewVarSet(pq)
-			for _, a := range st.EvaluateWeighted(pq, []float64{w}) {
+			for _, a := range kg.Evaluate(st, pq, []float64{w}) {
 				proj := kg.NewBinding(vs.Len())
 				for vi := 0; vi < pvs.Len(); vi++ {
 					if oi := vs.Index(pvs.Name(vi)); oi >= 0 {

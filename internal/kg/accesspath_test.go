@@ -95,7 +95,7 @@ func TestEvaluateVarPredicateQuery(t *testing.T) {
 	a := lookup(t, st, "a")
 	b := lookup(t, st, "b")
 	q := NewQuery(NewPattern(Const(a), Var("p"), Const(b)))
-	answers := st.Evaluate(q)
+	answers := Evaluate(st, q, nil)
 	if len(answers) != 2 {
 		t.Fatalf("answers: got %d want 2", len(answers))
 	}

@@ -147,6 +147,28 @@ func SortAnswers(as []Answer) {
 	})
 }
 
+// DedupMax collapses answers with identical bindings, keeping the maximum
+// score (Definition 8: the score of an answer under a space of relaxations
+// is the maximum over derivations). Relaxed provenance masks of collapsed
+// answers follow the kept maximum.
+func DedupMax(as []Answer) []Answer {
+	keyer := NewKeyer()
+	best := make(map[BindingKey]int, len(as))
+	out := as[:0]
+	for _, a := range as {
+		k := keyer.Key(a.Binding)
+		if i, ok := best[k]; ok {
+			if a.Score > out[i].Score {
+				out[i] = a
+			}
+			continue
+		}
+		best[k] = len(out)
+		out = append(out, a)
+	}
+	return out
+}
+
 // bindPattern attempts to extend binding b with the triple t matched against
 // pattern p. It returns the extended binding and true on success.
 func bindPattern(vs *VarSet, p Pattern, t Triple, b Binding) (Binding, bool) {
@@ -197,45 +219,12 @@ func bindInto(vs *VarSet, p Pattern, t Triple, b, nb Binding) bool {
 	return set(p.S, t.S) && set(p.P, t.P) && set(p.O, t.O)
 }
 
-// Evaluate computes the complete answer set of q with Definition 6 scoring
-// (sum of per-pattern normalised scores). It is used by the naive baseline,
-// by exact cardinality computation, and by tests as ground truth. Patterns
-// are evaluated smallest-cardinality first with index-backed candidate
-// selection. The whole evaluation runs against one pinned snapshot, so the
-// answers correspond to a single content version even under concurrent
-// inserts.
-func (st *Store) Evaluate(q Query) []Answer {
-	return evaluateWeighted(st.pin(), q, nil)
-}
-
-// Count returns the exact number of answers to q (join cardinality). It is
-// the "exact join selectivity" source the paper uses (footnote 3). Answers
-// are distinct variable bindings: duplicate (s,p,o) triples — retained in
-// the postings since the store keeps every addition — contribute multiple
-// derivations but one answer, matching Evaluate's DedupMax semantics.
-func (st *Store) Count(q Query) int {
-	return countAnswers(st.pin(), q)
-}
-
-// Selectivity returns the exact join selectivity φ of q: the answer count
-// divided by the product of per-pattern cardinalities. Returns 0 when any
-// pattern is empty. Count and the cardinalities read one pinned snapshot.
-func (st *Store) Selectivity(q Query) float64 {
-	return selectivity(st.pin(), q)
-}
-
-// forCandidates implements matcher: it feeds f every triple of the cheapest
-// candidate posting for sub (a superset of the exact matches), then every
-// head triple. One snapshot serves the whole enumeration, and the frozen
-// side deliberately uses the frozen-only lists — the merged frozen⊕head
-// list would replay head triples twice, which would double-count
-// derivations in the exact evaluator.
-func (st *Store) forCandidates(sub Pattern, f func(t Triple)) {
-	st.state().forCandidates(sub, f)
-}
-
-// forCandidates is the snapshot-level candidate enumeration behind both the
-// live store's matcher and the pinned views. Pending-tombstone victims are
+// forCandidates is the snapshot-level candidate enumeration behind the
+// pinned views' matcher: it feeds f every triple of the cheapest candidate
+// posting for sub (a superset of the exact matches), then every head triple.
+// The frozen side deliberately uses the frozen-only lists — the merged
+// frozen⊕head list would replay head triples twice, which would double-count
+// derivations in the exact evaluator. Pending-tombstone victims are
 // masked out — a retracted fact must not contribute derivations — while the
 // head needs no mask (deletes remove its entries physically).
 func (s *storeState) forCandidates(sub Pattern, f func(t Triple)) {

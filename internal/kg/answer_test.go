@@ -77,7 +77,7 @@ func TestAnswerRelaxedCount(t *testing.T) {
 func TestEvaluateStarQuery(t *testing.T) {
 	st, ids := musicStore(t)
 	q := NewQuery(typePattern(ids, "singer"), typePattern(ids, "lyricist"))
-	answers := st.Evaluate(q)
+	answers := Evaluate(st, q, nil)
 	// singers ∩ lyricists = {shakira, beyonce}.
 	if len(answers) != 2 {
 		t.Fatalf("answers: got %d want 2", len(answers))
@@ -99,7 +99,7 @@ func TestEvaluateStarQuery(t *testing.T) {
 func TestEvaluateEmptyJoin(t *testing.T) {
 	st, ids := musicStore(t)
 	q := NewQuery(typePattern(ids, "pianist"), typePattern(ids, "guitarist"))
-	if got := st.Evaluate(q); len(got) != 0 {
+	if got := Evaluate(st, q, nil); len(got) != 0 {
 		t.Fatalf("pianist∧guitarist: got %d answers want 0", len(got))
 	}
 }
@@ -121,13 +121,13 @@ func TestEvaluatePathQuery(t *testing.T) {
 		NewPattern(Var("x"), Const(knows), Var("y")),
 		NewPattern(Var("y"), Const(knows), Var("z")),
 	)
-	answers := st.Evaluate(q)
+	answers := Evaluate(st, q, nil)
 	// Paths: a→b→c, a→c→d, b→c→d.
 	if len(answers) != 3 {
 		t.Fatalf("paths: got %d want 3", len(answers))
 	}
-	if st.Count(q) != 3 {
-		t.Fatalf("count: got %d want 3", st.Count(q))
+	if Count(st, q) != 3 {
+		t.Fatalf("count: got %d want 3", Count(st, q))
 	}
 }
 
@@ -140,22 +140,9 @@ func TestCountMatchesEvaluate(t *testing.T) {
 		NewQuery(typePattern(ids, "singer"), typePattern(ids, "lyricist"), typePattern(ids, "guitarist")),
 	}
 	for i, q := range qs {
-		if got, want := st.Count(q), len(st.Evaluate(q)); got != want {
+		if got, want := Count(st, q), len(Evaluate(st, q, nil)); got != want {
 			t.Errorf("query %d: Count=%d Evaluate=%d", i, got, want)
 		}
-	}
-}
-
-func TestSelectivity(t *testing.T) {
-	st, ids := musicStore(t)
-	q := NewQuery(typePattern(ids, "singer"), typePattern(ids, "lyricist"))
-	// 2 answers / (4 × 2) = 0.25.
-	if got := st.Selectivity(q); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("selectivity: got %v want 0.25", got)
-	}
-	empty := NewQuery(typePattern(ids, "singer"), NewPattern(Var("s"), Const(ids["rdf:type"]), Const(ids["shakira"])))
-	if got := st.Selectivity(empty); got != 0 {
-		t.Fatalf("selectivity with empty pattern: got %v want 0", got)
 	}
 }
 
@@ -163,7 +150,7 @@ func TestEvaluateWeighted(t *testing.T) {
 	st, ids := musicStore(t)
 	q := NewQuery(typePattern(ids, "singer"), typePattern(ids, "lyricist"))
 	w := []float64{0.5, 1}
-	answers := st.EvaluateWeighted(q, w)
+	answers := Evaluate(st, q, w)
 	if len(answers) != 2 {
 		t.Fatalf("answers: got %d want 2", len(answers))
 	}
@@ -172,8 +159,8 @@ func TestEvaluateWeighted(t *testing.T) {
 		t.Fatalf("weighted shakira: got %v want 1.5", answers[0].Score)
 	}
 	// Nil weights behave like all-ones.
-	plain := st.EvaluateWeighted(q, nil)
-	ref := st.Evaluate(q)
+	plain := Evaluate(st, q, nil)
+	ref := Evaluate(st, q, nil)
 	for i := range ref {
 		if math.Abs(plain[i].Score-ref[i].Score) > 1e-12 {
 			t.Fatalf("nil weights diverge at %d: %v vs %v", i, plain[i].Score, ref[i].Score)
@@ -239,7 +226,7 @@ func TestEvaluateDeduplicatesDuplicateTriples(t *testing.T) {
 	ty, _ := st.Dict().Lookup("type")
 	tt, _ := st.Dict().Lookup("t")
 	q := NewQuery(NewPattern(Var("s"), Const(ty), Const(tt)))
-	answers := st.Evaluate(q)
+	answers := Evaluate(st, q, nil)
 	if len(answers) != 2 {
 		t.Fatalf("dedup: got %d answers want 2", len(answers))
 	}

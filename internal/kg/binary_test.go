@@ -270,8 +270,8 @@ func TestBinaryPreservesSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewQuery(typePattern(ids, "singer"), typePattern(ids, "lyricist"))
-	a1 := st.Evaluate(q)
-	a2 := st2.Evaluate(q)
+	a1 := Evaluate(st, q, nil)
+	a2 := Evaluate(st2, q, nil)
 	if len(a1) != len(a2) {
 		t.Fatalf("answers: %d vs %d", len(a1), len(a2))
 	}
@@ -297,7 +297,7 @@ func TestBinaryRoundTripLiveHeads(t *testing.T) {
 		NewPattern(Var("x"), Const(ID(5)), Var("y")),
 		NewPattern(Var("x"), Const(ID(6)), Var("z")),
 	)
-	wantAnswers := st.Evaluate(q)
+	wantAnswers := Evaluate(st, q, nil)
 
 	writers := map[string]Graph{"flat": st}
 	for _, shards := range []int{1, 2, 7} {
@@ -348,7 +348,7 @@ func TestBinaryRoundTripLiveHeads(t *testing.T) {
 					t.Fatalf("%s→%s: triple %d = %v, want %v", wname, rname, i, got.Triple(int32(i)), triples[i])
 				}
 			}
-			gotAnswers := got.Evaluate(q)
+			gotAnswers := Evaluate(got, q, nil)
 			if len(gotAnswers) != len(wantAnswers) {
 				t.Fatalf("%s→%s: %d answers, want %d", wname, rname, len(gotAnswers), len(wantAnswers))
 			}

@@ -11,6 +11,7 @@ package kg
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -89,4 +90,27 @@ func (d *Dict) Strings() []string {
 // sortIDs sorts a slice of IDs ascending (helper shared by index code).
 func sortIDs(ids []ID) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+}
+
+// PatternString renders a pattern with constants decoded through d.
+func (d *Dict) PatternString(p Pattern) string {
+	f := func(t Term) string {
+		if t.IsVar {
+			return "?" + t.Name
+		}
+		return d.Decode(t.ID)
+	}
+	return fmt.Sprintf("〈%s %s %s〉", f(p.S), f(p.P), f(p.O))
+}
+
+// QueryString renders a query with constants decoded through d.
+func (d *Dict) QueryString(q Query) string {
+	var b strings.Builder
+	for i, p := range q.Patterns {
+		if i > 0 {
+			b.WriteString(" . ")
+		}
+		b.WriteString(d.PatternString(p))
+	}
+	return b.String()
 }

@@ -84,7 +84,7 @@ func FuzzLiveStore(f *testing.F) {
 				NewPattern(Var("x"), Const(ID(0)), Var("y")),
 				NewPattern(Var("y"), Const(ID(1)), Var("z")),
 			)
-			got, want := ss.Evaluate(q), flat.Evaluate(q)
+			got, want := Evaluate(ss, q, nil), Evaluate(flat, q, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%s: %d answers, oracle %d", label, len(got), len(want))
 			}
@@ -93,7 +93,7 @@ func FuzzLiveStore(f *testing.F) {
 					t.Fatalf("%s: answer %d is %v, oracle %v", label, i, got[i], want[i])
 				}
 			}
-			if gc, wc := ss.Count(q), flat.Count(q); gc != wc {
+			if gc, wc := Count(ss, q), Count(flat, q); gc != wc {
 				t.Fatalf("%s: count %d, oracle %d", label, gc, wc)
 			}
 		}

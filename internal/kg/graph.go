@@ -1,15 +1,15 @@
 package kg
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
-// Graph is the read interface of a frozen triple store — everything the
+// Graph is the read interface of a frozen triple store: the primitives the
 // planner, the statistics catalog, the relaxation miners and the physical
-// operators need from the storage layer. It is implemented by *Store (one
-// flat posting layout) and *ShardedStore (N hash-partitioned segments).
+// operators pull from the storage layer. It is implemented by *Store (one
+// flat posting layout), *ShardedStore (N hash-partitioned segments) and
+// their pinned views. Everything derived from these primitives — the exact
+// evaluator (Evaluate), the exact counter (Count), the Definition 5 score
+// lists (NormalizedScores) — is a free function over a Graph, and rendering
+// needs only the dictionary (Dict.PatternString, Dict.QueryString).
 //
 // Triple indexes handed out by MatchList and accepted by Triple are global:
 // dense, insertion-ordered, and stable across the store's lifetime. Every
@@ -33,23 +33,8 @@ type Graph interface {
 	// MaxScore returns the maximum raw score among matches of p (0 if none) —
 	// the normalisation constant of Definition 5.
 	MaxScore(p Pattern) float64
-	// NormalizedScores returns the normalised score list for p, sorted
-	// descending, aligned with MatchList(p). Caller-owned.
-	NormalizedScores(p Pattern) []float64
 	// HasDuplicates reports whether any (s,p,o) key was added more than once.
 	HasDuplicates() bool
-	// Evaluate computes the complete answer set of q (Definition 6 scoring).
-	Evaluate(q Query) []Answer
-	// EvaluateWeighted is Evaluate with per-pattern weight multipliers.
-	EvaluateWeighted(q Query, weights []float64) []Answer
-	// Count returns the exact number of distinct answers to q.
-	Count(q Query) int
-	// Selectivity returns Count(q) over the product of pattern cardinalities.
-	Selectivity(q Query) float64
-	// PatternString renders a pattern with decoded constants.
-	PatternString(p Pattern) string
-	// QueryString renders a query with decoded constants.
-	QueryString(q Query) string
 	// Version reports the logical content version: 0 for a store frozen once
 	// and never mutated, incremented by every live Insert. Compaction leaves
 	// it unchanged (the visible triple set is identical). Caches keyed on
@@ -139,21 +124,16 @@ var (
 	_ ShardedGraph = (*ShardedStore)(nil)
 )
 
-// matcher is the package-internal contract the shared evaluator needs beyond
+// matcher is the package-internal contract the exact evaluator needs beyond
 // Graph: candidate enumeration for a (possibly variable-substituted) pattern
-// without materialising a match list per recursion step.
+// without materialising a match list per recursion step. Only pinned views
+// implement it, so every evaluation reads one content version.
 type matcher interface {
 	Graph
 	// forCandidates calls f with every candidate triple for sub — a superset
 	// of the exact matches, drawn from the cheapest applicable index.
 	forCandidates(sub Pattern, f func(t Triple))
 }
-
-// Compile-time interface checks.
-var (
-	_ matcher = (*Store)(nil)
-	_ matcher = (*ShardedStore)(nil)
-)
 
 // substPattern substitutes variables of p already bound in b, yielding the
 // pattern whose candidates constrain the next recursion step.
@@ -183,26 +163,21 @@ func evalOrder(g Graph, q Query) []int {
 	return order
 }
 
-// evaluateWeighted is the shared backtracking-join evaluator behind
-// Evaluate and EvaluateWeighted on both store layouts. weights nil means all
-// ones. Candidate enumeration order never affects the result: every
-// derivation is visited, DedupMax keeps the maximum score per binding, and
-// SortAnswers fixes the output order.
-func evaluateWeighted(g matcher, q Query, weights []float64) []Answer {
+// Evaluate computes the complete answer set of q with Definition 6 scoring
+// (sum of per-pattern normalised scores), each pattern's contribution
+// multiplied by weights[i] (per-pattern relaxation weighting; nil weights
+// mean all 1). It is the exhaustive reference the engine modes are tested
+// against and the evaluator behind chain relaxations. Patterns are joined
+// smallest-cardinality first by a backtracking walk over index-backed
+// candidates, all of it over one pin of g, so the answers correspond to a
+// single content version even under concurrent mutations. Candidate
+// enumeration order never affects the result: every derivation is visited,
+// DedupMax keeps the maximum score per binding, and SortAnswers fixes the
+// output order.
+func Evaluate(g Graph, q Query, weights []float64) []Answer {
+	m := g.Pin().(matcher) // a pinned view pins to itself
 	vs := NewVarSet(q)
-	order := evalOrder(g, q)
-	out := collectAnswers(g, q, vs, order, weights, nil)
-	out = DedupMax(out)
-	SortAnswers(out)
-	return out
-}
-
-// collectAnswers runs the backtracking join and returns the raw (un-deduped,
-// unsorted) derivations. level0 overrides candidate enumeration for the
-// first join level only — the seam the shard-parallel evaluator fans out on
-// (each shard enumerates its own level-0 candidates while deeper levels use
-// the full matcher); nil means g's own candidates at every level.
-func collectAnswers(g matcher, q Query, vs *VarSet, order []int, weights []float64, level0 func(Pattern, func(Triple))) []Answer {
+	order := evalOrder(m, q)
 	var out []Answer
 	var rec func(step int, b Binding, score float64)
 	rec = func(step int, b Binding, score float64) {
@@ -212,12 +187,12 @@ func collectAnswers(g matcher, q Query, vs *VarSet, order []int, weights []float
 		}
 		pi := order[step]
 		p := q.Patterns[pi]
-		max := g.MaxScore(p)
+		max := m.MaxScore(p)
 		w := 1.0
 		if weights != nil && weights[pi] > 0 {
 			w = weights[pi]
 		}
-		emit := func(t Triple) {
+		m.forCandidates(substPattern(p, vs, b), func(t Triple) {
 			nb, ok := bindPattern(vs, p, t, b)
 			if !ok {
 				return
@@ -227,26 +202,27 @@ func collectAnswers(g matcher, q Query, vs *VarSet, order []int, weights []float
 				s = w * t.Score / max
 			}
 			rec(step+1, nb, score+s)
-		}
-		sub := substPattern(p, vs, b)
-		if step == 0 && level0 != nil {
-			level0(sub, emit)
-		} else {
-			g.forCandidates(sub, emit)
-		}
+		})
 	}
 	rec(0, NewBinding(vs.Len()), 0)
+	out = DedupMax(out)
+	SortAnswers(out)
 	return out
 }
 
-// countAnswers is the shared exact join-cardinality computation. Without
-// duplicate triples every derivation is a distinct binding, so counting
-// stays allocation-free; only duplicate-bearing stores pay for the dedup map.
-func countAnswers(g matcher, q Query) int {
+// Count returns the exact number of distinct answers to q (join
+// cardinality), over one pin of g — the "exact join selectivity" source the
+// paper uses (footnote 3). Answers are distinct variable bindings: duplicate
+// (s,p,o) triples contribute several derivations but one answer, matching
+// Evaluate's DedupMax semantics. Without duplicate triples every derivation
+// is a distinct binding, so counting stays allocation-free; only
+// duplicate-bearing stores pay for the dedup map.
+func Count(g Graph, q Query) int {
+	m := g.Pin().(matcher) // a pinned view pins to itself
 	vs := NewVarSet(q)
-	order := evalOrder(g, q)
-	if !g.HasDuplicates() {
-		return countDerivations(g, q, vs, order, nil)
+	order := evalOrder(m, q)
+	if !m.HasDuplicates() {
+		return countDerivations(m, q, vs, order)
 	}
 	seen := make(map[BindingKey]bool)
 	keyer := NewKeyer()
@@ -257,7 +233,7 @@ func countAnswers(g matcher, q Query) int {
 			return
 		}
 		p := q.Patterns[order[step]]
-		g.forCandidates(substPattern(p, vs, b), func(t Triple) {
+		m.forCandidates(substPattern(p, vs, b), func(t Triple) {
 			if nb, ok := bindPattern(vs, p, t, b); ok {
 				rec(step+1, nb)
 			}
@@ -269,13 +245,13 @@ func countAnswers(g matcher, q Query) int {
 
 // countDerivations counts complete derivations without deduplication —
 // exact on duplicate-free stores, where derivations and bindings are in
-// bijection. level0 plays the same shard fan-out role as in collectAnswers.
+// bijection.
 //
 // Each join level owns one binding and one candidate callback, built before
 // the search: a level rewrites its binding for every candidate, and no
 // deeper level touches it, so the count allocates per level rather than per
 // derivation.
-func countDerivations(g matcher, q Query, vs *VarSet, order []int, level0 func(Pattern, func(Triple))) int {
+func countDerivations(m matcher, q Query, vs *VarSet, order []int) int {
 	n := 0
 	bs := make([]Binding, len(order)+1) // bs[step]: binding entering level step
 	for i := range bs {
@@ -296,22 +272,18 @@ func countDerivations(g matcher, q Query, vs *VarSet, order []int, level0 func(P
 			n++
 			return
 		}
-		sub := substPattern(q.Patterns[order[step]], vs, bs[step])
-		if step == 0 && level0 != nil {
-			level0(sub, emits[step])
-		} else {
-			g.forCandidates(sub, emits[step])
-		}
+		m.forCandidates(substPattern(q.Patterns[order[step]], vs, bs[step]), emits[step])
 	}
 	rec(0)
 	return n
 }
 
-// normalizedScores is the shared Definition 5 normalisation: each match's
-// raw score divided by the head (maximum) score, aligned with MatchList(p).
-// Centralised so the two layouts cannot diverge on the max==0 guard or the
-// division — the bit-identical contract depends on identical floats.
-func normalizedScores(g Graph, p Pattern) []float64 {
+// NormalizedScores is the Definition 5 normalisation of p's match list: each
+// match's raw score divided by the head (maximum) score, sorted descending
+// and aligned with g.MatchList(p). The slice is freshly allocated and owned
+// by the caller. Centralised so no layout can diverge on the max==0 guard or
+// the division — the bit-identical contract depends on identical floats.
+func NormalizedScores(g Graph, p Pattern) []float64 {
 	l := g.MatchList(p)
 	out := make([]float64, len(l))
 	if len(l) == 0 {
@@ -325,41 +297,4 @@ func normalizedScores(g Graph, p Pattern) []float64 {
 		out[i] = g.Triple(ti).Score / max
 	}
 	return out
-}
-
-// selectivity is the shared exact-selectivity computation: Count(q) divided
-// by the product of per-pattern cardinalities (0 when any pattern is empty).
-func selectivity(g Graph, q Query) float64 {
-	prod := 1.0
-	for _, p := range q.Patterns {
-		c := g.Cardinality(p)
-		if c == 0 {
-			return 0
-		}
-		prod *= float64(c)
-	}
-	return float64(g.Count(q)) / prod
-}
-
-// patternString renders a pattern with constants decoded through d.
-func patternString(d *Dict, p Pattern) string {
-	f := func(t Term) string {
-		if t.IsVar {
-			return "?" + t.Name
-		}
-		return d.Decode(t.ID)
-	}
-	return fmt.Sprintf("〈%s %s %s〉", f(p.S), f(p.P), f(p.O))
-}
-
-// queryString renders a query with constants decoded through d.
-func queryString(d *Dict, q Query) string {
-	var b strings.Builder
-	for i, p := range q.Patterns {
-		if i > 0 {
-			b.WriteString(" . ")
-		}
-		b.WriteString(patternString(d, p))
-	}
-	return b.String()
 }

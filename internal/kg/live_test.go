@@ -81,7 +81,7 @@ func assertGraphsAgree(t *testing.T, label string, g Graph, flat *Store) {
 		if gm, wm := g.MaxScore(p), flat.MaxScore(p); gm != wm {
 			t.Fatalf("%s pattern %v: max score %v, oracle %v", label, p, gm, wm)
 		}
-		gs, ws := g.NormalizedScores(p), flat.NormalizedScores(p)
+		gs, ws := NormalizedScores(g, p), NormalizedScores(flat, p)
 		for i := range gs {
 			if gs[i] != ws[i] {
 				t.Fatalf("%s pattern %v: normalised score %d is %v, oracle %v", label, p, i, gs[i], ws[i])
@@ -92,7 +92,7 @@ func assertGraphsAgree(t *testing.T, label string, g Graph, flat *Store) {
 		NewPattern(Var("x"), Const(ID(0)), Var("y")),
 		NewPattern(Var("y"), Const(ID(1)), Var("z")),
 	)
-	got, want := g.Evaluate(q), flat.Evaluate(q)
+	got, want := Evaluate(g, q, nil), Evaluate(flat, q, nil)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d answers, oracle %d", label, len(got), len(want))
 	}
@@ -101,7 +101,7 @@ func assertGraphsAgree(t *testing.T, label string, g Graph, flat *Store) {
 			t.Fatalf("%s: answer %d is %v, oracle %v", label, i, got[i], want[i])
 		}
 	}
-	if gc, wc := g.Count(q), flat.Count(q); gc != wc {
+	if gc, wc := Count(g, q), Count(flat, q); gc != wc {
 		t.Fatalf("%s: count %d, oracle %d", label, gc, wc)
 	}
 }
@@ -364,85 +364,5 @@ func TestLiveMatchListAllocsAfterCompact(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("compacted sharded MatchList: %v allocs, want 0", allocs)
-	}
-}
-
-// TestShardedEvaluateParallelMatchesSequential pins the shard-parallel
-// evaluator against the sequential walk it fans out: identical answer
-// slices (bindings, exact scores, order) and identical counts, with and
-// without duplicates forcing the sequential Count fallback.
-func TestShardedEvaluateParallelMatchesSequential(t *testing.T) {
-	for trial := int64(0); trial < 6; trial++ {
-		rng := rand.New(rand.NewSource(2024 + trial))
-		st := randomStore(t, 640+trial, 250)
-		q := randomJoinQuery(rng)
-		weights := make([]float64, len(q.Patterns))
-		for i := range weights {
-			weights[i] = 0.25 + rng.Float64()*0.75
-		}
-		for _, n := range shardCounts[1:] {
-			ss := shardedFrom(t, st, n)
-			vs := NewVarSet(q)
-			order := evalOrder(ss, q)
-			seq := collectAnswers(ss, q, vs, order, weights, nil)
-			seq = DedupMax(seq)
-			SortAnswers(seq)
-			par := ss.EvaluateWeighted(q, weights)
-			if len(par) != len(seq) {
-				t.Fatalf("trial %d shards=%d: %d parallel answers, %d sequential", trial, n, len(par), len(seq))
-			}
-			for i := range par {
-				if par[i].Binding.Compare(seq[i].Binding) != 0 || par[i].Score != seq[i].Score {
-					t.Fatalf("trial %d shards=%d: answer %d is %v, sequential %v", trial, n, i, par[i], seq[i])
-				}
-			}
-			if g, w := ss.Count(q), countAnswers(ss, q); g != w {
-				t.Fatalf("trial %d shards=%d: parallel count %d, sequential %d", trial, n, g, w)
-			}
-		}
-	}
-}
-
-// TestShardedCountParallelNoDuplicates exercises the parallel counting fast
-// path itself: randomStore always carries duplicate keys (forcing the
-// sequential dedup fallback above), so this fixture enumerates distinct
-// (s,p,o) combinations to make the per-shard derivation sums the live path.
-func TestShardedCountParallelNoDuplicates(t *testing.T) {
-	st := NewStore(nil)
-	for st.Dict().Len() < 12 {
-		st.Dict().Encode(fmt.Sprintf("term%d", st.Dict().Len()))
-	}
-	rng := rand.New(rand.NewSource(99))
-	for s := 0; s < 8; s++ {
-		for p := 0; p < 3; p++ {
-			for o := 0; o < 8; o++ {
-				if rng.Intn(3) == 0 {
-					continue
-				}
-				if err := st.Add(Triple{S: ID(s), P: ID(p), O: ID(o), Score: float64(rng.Intn(40))}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	st.Freeze()
-	if st.HasDuplicates() {
-		t.Fatal("fixture unexpectedly has duplicates")
-	}
-	for trial := 0; trial < 5; trial++ {
-		q := randomJoinQuery(rng)
-		want := st.Count(q)
-		for _, n := range shardCounts[1:] {
-			ss := shardedFrom(t, st, n)
-			if ss.HasDuplicates() {
-				t.Fatal("sharded copy reports duplicates")
-			}
-			if got := ss.Count(q); got != want {
-				t.Fatalf("trial %d shards=%d: parallel count %d, flat %d", trial, n, got, want)
-			}
-			if got, w := ss.Count(q), countAnswers(ss, q); got != w {
-				t.Fatalf("trial %d shards=%d: parallel count %d, sequential walk %d", trial, n, got, w)
-			}
-		}
 	}
 }

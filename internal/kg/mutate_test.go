@@ -95,7 +95,7 @@ func assertMutatedAgree(t *testing.T, label string, g LiveGraph, flat *Store) {
 		if gm, wm := g.MaxScore(p), flat.MaxScore(p); gm != wm {
 			t.Fatalf("%s pattern %v: max score %v, oracle %v", label, p, gm, wm)
 		}
-		gs, ws := g.NormalizedScores(p), flat.NormalizedScores(p)
+		gs, ws := NormalizedScores(g, p), NormalizedScores(flat, p)
 		if len(gs) != len(ws) {
 			t.Fatalf("%s pattern %v: %d normalised scores, oracle %d", label, p, len(gs), len(ws))
 		}
@@ -109,7 +109,7 @@ func assertMutatedAgree(t *testing.T, label string, g LiveGraph, flat *Store) {
 		NewPattern(Var("x"), Const(ID(0)), Var("y")),
 		NewPattern(Var("y"), Const(ID(1)), Var("z")),
 	)
-	got, want := g.Evaluate(q), flat.Evaluate(q)
+	got, want := Evaluate(g, q, nil), Evaluate(flat, q, nil)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d answers, oracle %d", label, len(got), len(want))
 	}
@@ -118,7 +118,7 @@ func assertMutatedAgree(t *testing.T, label string, g LiveGraph, flat *Store) {
 			t.Fatalf("%s: answer %d is %v, oracle %v", label, i, got[i], want[i])
 		}
 	}
-	if gc, wc := g.Count(q), flat.Count(q); gc != wc {
+	if gc, wc := Count(g, q), Count(flat, q); gc != wc {
 		t.Fatalf("%s: count %d, oracle %d", label, gc, wc)
 	}
 }

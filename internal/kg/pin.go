@@ -2,7 +2,6 @@ package kg
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -73,37 +72,10 @@ func (ps *pinnedStore) Cardinality(p Pattern) int { return ps.s.cardinality(p) }
 // MaxScore implements Graph: the Definition 5 normalisation constant.
 func (ps *pinnedStore) MaxScore(p Pattern) float64 { return ps.s.maxScore(p) }
 
-// NormalizedScores implements Graph.
-func (ps *pinnedStore) NormalizedScores(p Pattern) []float64 {
-	return normalizedScores(ps, p)
-}
-
 // forCandidates implements matcher.
 func (ps *pinnedStore) forCandidates(sub Pattern, f func(t Triple)) {
 	ps.s.forCandidates(sub, f)
 }
-
-// Evaluate implements Graph over the pinned snapshot.
-func (ps *pinnedStore) Evaluate(q Query) []Answer {
-	return evaluateWeighted(ps, q, nil)
-}
-
-// EvaluateWeighted implements Graph.
-func (ps *pinnedStore) EvaluateWeighted(q Query, weights []float64) []Answer {
-	return evaluateWeighted(ps, q, weights)
-}
-
-// Count implements Graph.
-func (ps *pinnedStore) Count(q Query) int { return countAnswers(ps, q) }
-
-// Selectivity implements Graph.
-func (ps *pinnedStore) Selectivity(q Query) float64 { return selectivity(ps, q) }
-
-// PatternString implements Graph.
-func (ps *pinnedStore) PatternString(p Pattern) string { return patternString(ps.dict, p) }
-
-// QueryString implements Graph.
-func (ps *pinnedStore) QueryString(q Query) string { return queryString(ps.dict, q) }
 
 // dupFor computes a snapshot's duplicate flag across all segments.
 func dupFor(s *storeState) bool {
@@ -279,11 +251,6 @@ func (ps *pinnedSharded) mergeMatches(p Pattern) []int32 {
 	return out
 }
 
-// NormalizedScores implements Graph.
-func (ps *pinnedSharded) NormalizedScores(p Pattern) []float64 {
-	return normalizedScores(ps, p)
-}
-
 // forCandidates implements matcher. A bound subject pins one shard; every
 // other shape unions the shards' candidate enumerations.
 func (ps *pinnedSharded) forCandidates(sub Pattern, f func(t Triple)) {
@@ -295,87 +262,3 @@ func (ps *pinnedSharded) forCandidates(sub Pattern, f func(t Triple)) {
 		sh.forCandidates(sub, f)
 	}
 }
-
-// fanoutLevel0 reports whether the evaluator's first join level can be
-// fanned out across shards for q under order (see ShardedStore.Evaluate).
-func (ps *pinnedSharded) fanoutLevel0(q Query, order []int) bool {
-	if len(ps.shards) == 1 || len(order) == 0 {
-		return false
-	}
-	_, pinned := ps.subjectShard(q.Patterns[order[0]])
-	return !pinned
-}
-
-// Evaluate implements Graph: the complete answer set over the pinned prefix,
-// with the first join level fanned out across shards (per-shard level-0
-// candidate sets are disjoint, so the derivation multiset matches the
-// sequential walk exactly).
-func (ps *pinnedSharded) Evaluate(q Query) []Answer {
-	return ps.evaluateWeightedParallel(q, nil)
-}
-
-// EvaluateWeighted implements Graph.
-func (ps *pinnedSharded) EvaluateWeighted(q Query, weights []float64) []Answer {
-	return ps.evaluateWeightedParallel(q, weights)
-}
-
-func (ps *pinnedSharded) evaluateWeightedParallel(q Query, weights []float64) []Answer {
-	vs := NewVarSet(q)
-	order := evalOrder(ps, q)
-	if !ps.fanoutLevel0(q, order) {
-		out := collectAnswers(ps, q, vs, order, weights, nil)
-		out = DedupMax(out)
-		SortAnswers(out)
-		return out
-	}
-	outs := make([][]Answer, len(ps.shards))
-	var wg sync.WaitGroup
-	for si := range ps.shards {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			outs[si] = collectAnswers(ps, q, vs, order, weights, ps.shards[si].forCandidates)
-		}(si)
-	}
-	wg.Wait()
-	var out []Answer
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	out = DedupMax(out)
-	SortAnswers(out)
-	return out
-}
-
-// Count implements Graph (see ShardedStore.Count for the fan-out rules).
-func (ps *pinnedSharded) Count(q Query) int {
-	vs := NewVarSet(q)
-	order := evalOrder(ps, q)
-	if ps.HasDuplicates() || !ps.fanoutLevel0(q, order) {
-		return countAnswers(ps, q)
-	}
-	counts := make([]int, len(ps.shards))
-	var wg sync.WaitGroup
-	for si := range ps.shards {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			counts[si] = countDerivations(ps, q, vs, order, ps.shards[si].forCandidates)
-		}(si)
-	}
-	wg.Wait()
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
-	return n
-}
-
-// Selectivity implements Graph.
-func (ps *pinnedSharded) Selectivity(q Query) float64 { return selectivity(ps, q) }
-
-// PatternString implements Graph.
-func (ps *pinnedSharded) PatternString(p Pattern) string { return patternString(ps.ss.dict, p) }
-
-// QueryString implements Graph.
-func (ps *pinnedSharded) QueryString(q Query) string { return queryString(ps.ss.dict, q) }

@@ -151,7 +151,7 @@ func TestPinnedStoreViewsMatchPrefixStore(t *testing.T) {
 				NewPattern(Var("x"), Const(ID(5)), Var("y")),
 				NewPattern(Var("x"), Const(ID(6)), Var("z")),
 			)
-			got, want := ps.Evaluate(q), ref.Evaluate(q)
+			got, want := Evaluate(ps, q, nil), Evaluate(ref, q, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%s: Evaluate %d answers want %d", label, len(got), len(want))
 			}
@@ -160,7 +160,7 @@ func TestPinnedStoreViewsMatchPrefixStore(t *testing.T) {
 					t.Fatalf("%s: Evaluate answer %d = %v want %v", label, i, got[i], want[i])
 				}
 			}
-			if gc, wc := ps.Count(q), ref.Count(q); gc != wc {
+			if gc, wc := Count(ps, q), Count(ref, q); gc != wc {
 				t.Fatalf("%s: Count %d want %d", label, gc, wc)
 			}
 		}
@@ -205,6 +205,45 @@ func TestPinSurvivesLaterInserts(t *testing.T) {
 		}
 		if pin.Pin() != pin {
 			t.Fatal("pinning a pin must return the same view")
+		}
+	}
+}
+
+// TestEvaluateTakesOnePin pins the one-evaluation-one-pin contract: over a
+// live store every Evaluate call (plain or weighted) and every Count call
+// takes exactly one pin, so all recursion levels read one content version;
+// over an already pinned view they take none.
+func TestEvaluateTakesOnePin(t *testing.T) {
+	st := randomStore(t, 31, 200)
+	q := randomJoinQuery(rand.New(rand.NewSource(31)))
+	weights := make([]float64, len(q.Patterns))
+	for i := range weights {
+		weights[i] = 0.5
+	}
+	calls := []struct {
+		name string
+		run  func(g Graph)
+	}{
+		{"Evaluate", func(g Graph) { Evaluate(g, q, nil) }},
+		{"Evaluate weighted", func(g Graph) { Evaluate(g, q, weights) }},
+		{"Count", func(g Graph) { Count(g, q) }},
+	}
+	for _, g := range []interface {
+		Graph
+		Pins() int64
+	}{st, shardedFrom(t, st, 3)} {
+		view := g.Pin()
+		for _, c := range calls {
+			before := g.Pins()
+			c.run(g)
+			if d := g.Pins() - before; d != 1 {
+				t.Errorf("%T %s: took %d pins, want 1", g, c.name, d)
+			}
+			before = g.Pins()
+			c.run(view)
+			if d := g.Pins() - before; d != 0 {
+				t.Errorf("%T %s over a pinned view: took %d pins, want 0", g, c.name, d)
+			}
 		}
 	}
 }

@@ -135,11 +135,11 @@ func TestFullyBoundKeepsDuplicates(t *testing.T) {
 	// Count counts distinct answers, not derivations: the three duplicate
 	// triples collapse to one binding, in line with Evaluate's DedupMax.
 	q := NewQuery(pat)
-	if got, want := st.Count(q), len(st.Evaluate(q)); got != want || got != 1 {
+	if got, want := Count(st, q), len(Evaluate(st, q, nil)); got != want || got != 1 {
 		t.Fatalf("count: got %d, Evaluate gives %d, want 1", got, want)
 	}
 	qv := NewQuery(NewPattern(Var("s"), Const(p), Const(b)))
-	if got, want := st.Count(qv), len(st.Evaluate(qv)); got != want || got != 1 {
+	if got, want := Count(st, qv), len(Evaluate(st, qv, nil)); got != want || got != 1 {
 		t.Fatalf("var count: got %d, Evaluate gives %d, want 1", got, want)
 	}
 }

@@ -638,62 +638,3 @@ func (ss *ShardedStore) mergeMatches(p Pattern) []int32 {
 	})
 	return out
 }
-
-// NormalizedScores returns the normalised score list for p, sorted
-// descending, aligned with MatchList(p). The slice is freshly allocated and
-// owned by the caller.
-func (ss *ShardedStore) NormalizedScores(p Pattern) []float64 {
-	return normalizedScores(ss, p)
-}
-
-// forCandidates implements matcher. A bound subject pins one shard; every
-// other shape unions the shards' candidate postings. Enumeration order is
-// irrelevant to the shared evaluator's results.
-func (ss *ShardedStore) forCandidates(sub Pattern, f func(t Triple)) {
-	if sh, ok := ss.subjectShard(sub); ok {
-		sh.forCandidates(sub, f)
-		return
-	}
-	for _, sh := range ss.shards {
-		sh.forCandidates(sub, f)
-	}
-}
-
-// Evaluate computes the complete answer set of q (Definition 6 scoring),
-// identical to the flat store's evaluator over the same triples. The whole
-// evaluation runs over one pinned view — every recursion level sees one
-// content version — and on a multi-segment store the first join level fans
-// out across shards: each shard enumerates its own level-0 candidates on its
-// own goroutine while deeper levels probe the whole store, and the per-shard
-// derivations are concatenated, deduplicated and sorted exactly like the
-// sequential walk — level-0 candidate sets are disjoint across shards, so
-// the derivation multiset is identical and DedupMax/SortAnswers normalise
-// the order.
-func (ss *ShardedStore) Evaluate(q Query) []Answer {
-	return ss.pin().Evaluate(q)
-}
-
-// EvaluateWeighted is Evaluate with per-pattern weight multipliers.
-func (ss *ShardedStore) EvaluateWeighted(q Query, weights []float64) []Answer {
-	return ss.pin().EvaluateWeighted(q, weights)
-}
-
-// Count returns the exact number of distinct answers to q, over one pinned
-// view. Duplicate-free stores count derivations with the same per-shard
-// level-0 fan-out as Evaluate; duplicate-bearing stores need one global
-// binding-dedup set and fall back to the sequential walk.
-func (ss *ShardedStore) Count(q Query) int {
-	return ss.pin().Count(q)
-}
-
-// Selectivity returns the exact join selectivity φ of q, over one pinned
-// view.
-func (ss *ShardedStore) Selectivity(q Query) float64 {
-	return ss.pin().Selectivity(q)
-}
-
-// PatternString renders a pattern with decoded constants.
-func (ss *ShardedStore) PatternString(p Pattern) string { return patternString(ss.dict, p) }
-
-// QueryString renders a query with decoded constants.
-func (ss *ShardedStore) QueryString(q Query) string { return queryString(ss.dict, q) }

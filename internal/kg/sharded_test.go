@@ -82,7 +82,7 @@ func TestShardedMatchesFlat(t *testing.T) {
 				if g, w := ss.MaxScore(p), st.MaxScore(p); g != w {
 					t.Fatalf("shards=%d pattern %v: max score %v, flat %v", n, p, g, w)
 				}
-				gs, ws := ss.NormalizedScores(p), st.NormalizedScores(p)
+				gs, ws := NormalizedScores(ss, p), NormalizedScores(st, p)
 				if len(gs) != len(ws) {
 					t.Fatalf("shards=%d pattern %v: %d normalised scores, flat %d", n, p, len(gs), len(ws))
 				}
@@ -118,45 +118,76 @@ func randomJoinQuery(rng *rand.Rand) Query {
 }
 
 // TestShardedEvaluateMatchesFlat pins the shared evaluator over both
-// layouts: complete answer sets, weighted answer sets, exact counts and
-// selectivities agree for randomized join queries at every shard count.
+// layouts: complete answer sets, weighted answer sets and exact counts agree
+// for randomized join queries at every shard count. randomStore always
+// carries duplicate keys (Count's dedup walk); the duplicate-free fixture
+// enumerates distinct (s,p,o) combinations so the derivation-counting path
+// is compared too.
 func TestShardedEvaluateMatchesFlat(t *testing.T) {
-	for trial := int64(0); trial < 8; trial++ {
-		rng := rand.New(rand.NewSource(7700 + trial))
-		st := randomStore(t, 9900+trial, 200)
-		q := randomJoinQuery(rng)
+	randomWeights := func(rng *rand.Rand, q Query) []float64 {
 		weights := make([]float64, len(q.Patterns))
 		for i := range weights {
 			weights[i] = 0.25 + rng.Float64()*0.75
 		}
-		want := st.Evaluate(q)
-		wantW := st.EvaluateWeighted(q, weights)
-		for _, n := range shardCounts {
-			ss := shardedFrom(t, st, n)
-			got := ss.Evaluate(q)
+		return weights
+	}
+	for trial := int64(0); trial < 8; trial++ {
+		rng := rand.New(rand.NewSource(7700 + trial))
+		st := randomStore(t, 9900+trial, 200)
+		q := randomJoinQuery(rng)
+		checkShardedEvaluate(t, fmt.Sprintf("trial %d", trial), st, q, randomWeights(rng, q))
+	}
+
+	st := NewStore(nil)
+	for st.Dict().Len() < 12 {
+		st.Dict().Encode(fmt.Sprintf("term%d", st.Dict().Len()))
+	}
+	rng := rand.New(rand.NewSource(99))
+	for s := 0; s < 8; s++ {
+		for p := 0; p < 3; p++ {
+			for o := 0; o < 8; o++ {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				if err := st.Add(Triple{S: ID(s), P: ID(p), O: ID(o), Score: float64(rng.Intn(40))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	st.Freeze()
+	if st.HasDuplicates() {
+		t.Fatal("fixture unexpectedly has duplicates")
+	}
+	for trial := 0; trial < 5; trial++ {
+		q := randomJoinQuery(rng)
+		checkShardedEvaluate(t, fmt.Sprintf("duplicate-free trial %d", trial), st, q, randomWeights(rng, q))
+	}
+}
+
+// checkShardedEvaluate compares Evaluate (plain and weighted) and Count over
+// sharded copies of st against the flat store.
+func checkShardedEvaluate(t *testing.T, name string, st *Store, q Query, weights []float64) {
+	t.Helper()
+	wantN := Count(st, q)
+	for _, n := range shardCounts {
+		ss := shardedFrom(t, st, n)
+		if ss.HasDuplicates() != st.HasDuplicates() {
+			t.Fatalf("%s shards=%d: HasDuplicates %v, flat %v", name, n, ss.HasDuplicates(), st.HasDuplicates())
+		}
+		for _, w := range [][]float64{nil, weights} {
+			got, want := Evaluate(ss, q, w), Evaluate(st, q, w)
 			if len(got) != len(want) {
-				t.Fatalf("trial %d shards=%d: %d answers, flat %d", trial, n, len(got), len(want))
+				t.Fatalf("%s shards=%d weights=%v: %d answers, flat %d", name, n, w, len(got), len(want))
 			}
 			for i := range got {
 				if got[i].Binding.Compare(want[i].Binding) != 0 || math.Abs(got[i].Score-want[i].Score) > 1e-12 {
-					t.Fatalf("trial %d shards=%d: answer %d is %v, flat %v", trial, n, i, got[i], want[i])
+					t.Fatalf("%s shards=%d weights=%v: answer %d is %v, flat %v", name, n, w, i, got[i], want[i])
 				}
 			}
-			gotW := ss.EvaluateWeighted(q, weights)
-			if len(gotW) != len(wantW) {
-				t.Fatalf("trial %d shards=%d: %d weighted answers, flat %d", trial, n, len(gotW), len(wantW))
-			}
-			for i := range gotW {
-				if gotW[i].Binding.Compare(wantW[i].Binding) != 0 || math.Abs(gotW[i].Score-wantW[i].Score) > 1e-12 {
-					t.Fatalf("trial %d shards=%d: weighted answer %d is %v, flat %v", trial, n, i, gotW[i], wantW[i])
-				}
-			}
-			if g, w := ss.Count(q), st.Count(q); g != w {
-				t.Fatalf("trial %d shards=%d: count %d, flat %d", trial, n, g, w)
-			}
-			if g, w := ss.Selectivity(q), st.Selectivity(q); g != w {
-				t.Fatalf("trial %d shards=%d: selectivity %v, flat %v", trial, n, g, w)
-			}
+		}
+		if g := Count(ss, q); g != wantN {
+			t.Fatalf("%s shards=%d: count %d, flat %d", name, n, g, wantN)
 		}
 	}
 }

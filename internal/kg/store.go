@@ -1033,27 +1033,3 @@ func (s *storeState) maxScore(p Pattern) float64 {
 	}
 	return max
 }
-
-// NormalizedScore computes S(t|q) per Definition 5: the triple's raw score
-// divided by the maximum raw score among all matches of the pattern. The
-// result is in [0,1]. It returns 0 when the pattern has no matches.
-func (st *Store) NormalizedScore(p Pattern, t Triple) float64 {
-	max := st.MaxScore(p)
-	if max == 0 {
-		return 0
-	}
-	return t.Score / max
-}
-
-// NormalizedScores returns the normalised score list for p, sorted
-// descending, aligned with MatchList(p). The slice is freshly allocated and
-// owned by the caller.
-func (st *Store) NormalizedScores(p Pattern) []float64 {
-	return normalizedScores(st, p)
-}
-
-// PatternString renders a pattern with decoded constants.
-func (st *Store) PatternString(p Pattern) string { return patternString(st.dict, p) }
-
-// QueryString renders a query with decoded constants.
-func (st *Store) QueryString(q Query) string { return queryString(st.dict, q) }

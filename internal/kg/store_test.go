@@ -116,7 +116,7 @@ func TestMatchListSubjectBound(t *testing.T) {
 func TestNormalizedScores(t *testing.T) {
 	st, ids := musicStore(t)
 	p := typePattern(ids, "singer")
-	ns := st.NormalizedScores(p)
+	ns := NormalizedScores(st, p)
 	if len(ns) != 4 {
 		t.Fatalf("got %d scores", len(ns))
 	}
@@ -140,7 +140,7 @@ func TestNormalizedScoreEmptyPattern(t *testing.T) {
 	if got := st.MaxScore(absent); got != 0 {
 		t.Fatalf("empty pattern max: got %v", got)
 	}
-	if got := st.NormalizedScore(absent, Triple{Score: 5}); got != 0 {
+	if got := NormalizedScores(st, absent); len(got) != 0 {
 		t.Fatalf("empty pattern normalised: got %v", got)
 	}
 }

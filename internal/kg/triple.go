@@ -110,7 +110,7 @@ type PatternKey struct {
 	Shape   uint8
 }
 
-// String renders the pattern using raw IDs; use Store.PatternString for a
+// String renders the pattern using raw IDs; use Dict.PatternString for a
 // human-readable rendering with decoded terms.
 func (p Pattern) String() string {
 	f := func(t Term) string {

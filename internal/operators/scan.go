@@ -141,7 +141,7 @@ func newListScanOver(store kg.Graph, vs *kg.VarSet, p kg.Pattern, weight float64
 	s.last = s.top
 	if c.Tracing() {
 		s.stats = trace.NewNode("ListScan")
-		s.stats.Detail = store.PatternString(p)
+		s.stats.Detail = store.Dict().PatternString(p)
 		if weight != 1 {
 			s.stats.Detail = fmt.Sprintf("%s w=%.3f", s.stats.Detail, weight)
 		}

@@ -134,7 +134,7 @@ func NewShardedListScan(ss kg.ShardedGraph, vs *kg.VarSet, p kg.Pattern, weight 
 	s.last = s.top
 	if c.Tracing() {
 		s.stats = trace.NewNode("ShardedListScan")
-		s.stats.Detail = ss.PatternString(p)
+		s.stats.Detail = ss.Dict().PatternString(p)
 		s.stats.Shards = len(s.subs)
 		s.stats.SetTop(s.top)
 	}

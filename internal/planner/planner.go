@@ -221,9 +221,9 @@ func (pl *Planner) expectedTop(q kg.Query, i int, relaxedDist stats.PiecewiseCon
 
 // Explain renders a human-readable account of the plan's decisions.
 func (pl *Planner) Explain(p Plan) string {
-	st := pl.Catalog.Store()
+	dict := pl.Catalog.Store().Dict()
 	var b strings.Builder
-	fmt.Fprintf(&b, "query: %s\n", st.QueryString(p.Query))
+	fmt.Fprintf(&b, "query: %s\n", dict.QueryString(p.Query))
 	if p.EQkOK {
 		fmt.Fprintf(&b, "expected score at rank k=%d: %.4f\n", p.K, p.EQk)
 	} else {
@@ -235,16 +235,16 @@ func (pl *Planner) Explain(p Plan) string {
 		if d.Relax {
 			verdict = "RELAX (incremental merge)"
 		}
-		fmt.Fprintf(&b, "  [%d] %s → %s: %s\n", d.PatternIdx, st.PatternString(pat), verdict, d.Reason)
+		fmt.Fprintf(&b, "  [%d] %s → %s: %s\n", d.PatternIdx, dict.PatternString(pat), verdict, d.Reason)
 		if d.HasRule {
 			if d.TopRule.IsChain() {
 				parts := make([]string, len(d.TopRule.Chain))
 				for ci, cp := range d.TopRule.Chain {
-					parts[ci] = st.PatternString(cp)
+					parts[ci] = dict.PatternString(cp)
 				}
 				fmt.Fprintf(&b, "      top rule: chain %s (w=%.3f)\n", strings.Join(parts, " . "), d.TopRule.Weight)
 			} else {
-				fmt.Fprintf(&b, "      top rule: %s (w=%.3f)\n", st.PatternString(d.TopRule.To), d.TopRule.Weight)
+				fmt.Fprintf(&b, "      top rule: %s (w=%.3f)\n", dict.PatternString(d.TopRule.To), d.TopRule.Weight)
 			}
 		}
 	}

@@ -89,7 +89,7 @@ func ApplyChain(r Rule, p kg.Pattern) []kg.Pattern {
 func ChainMatches(st kg.Graph, chain []kg.Pattern, vs *kg.VarSet) []kg.Answer {
 	sub := kg.NewQuery(chain...)
 	subVS := kg.NewVarSet(sub)
-	raw := st.Evaluate(sub)
+	raw := kg.Evaluate(st, sub, nil)
 
 	n := float64(len(chain))
 	out := make([]kg.Answer, 0, len(raw))

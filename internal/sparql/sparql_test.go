@@ -142,7 +142,7 @@ func TestParseIntegratesWithStore(t *testing.T) {
 	}
 	st.Freeze()
 	pq := MustParse(`SELECT ?s WHERE { ?s 'rdf:type' <singer> . ?s 'rdf:type' <guitarist> }`, st.Dict())
-	answers := st.Evaluate(pq.Query)
+	answers := kg.Evaluate(st, pq.Query, nil)
 	if len(answers) != 1 {
 		t.Fatalf("answers: got %d want 1", len(answers))
 	}

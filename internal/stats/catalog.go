@@ -39,12 +39,12 @@ type Counter interface {
 	QueryCount(q kg.Query) int
 }
 
-// ExactCounter computes exact join cardinalities with the store's evaluator
-// — the configuration the paper evaluates.
+// ExactCounter computes exact join cardinalities with kg.Count — the
+// configuration the paper evaluates.
 type ExactCounter struct{ Store kg.Graph }
 
 // QueryCount implements Counter.
-func (c ExactCounter) QueryCount(q kg.Query) int { return c.Store.Count(q) }
+func (c ExactCounter) QueryCount(q kg.Query) int { return kg.Count(c.Store, q) }
 
 // EstimatedCounter estimates join cardinality under the classic
 // independence/containment assumption: the product of pattern cardinalities
@@ -202,7 +202,7 @@ func (c *Catalog) PatternDist(p kg.Pattern) (PiecewiseConst, int, bool) {
 	}
 	c.mu.RUnlock()
 
-	scores := c.store.NormalizedScores(p)
+	scores := kg.NormalizedScores(c.store, p)
 	var cs cachedStats
 	cs.m = len(scores)
 	if c.buckets == 2 {

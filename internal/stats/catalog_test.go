@@ -90,7 +90,7 @@ func TestQueryCountCaching(t *testing.T) {
 	calls := 0
 	cat := NewCatalog(st, 2, countFunc(func(q kg.Query) int {
 		calls++
-		return st.Count(q)
+		return kg.Count(st, q)
 	}))
 	q := kg.NewQuery(pa, pb)
 	if cat.QueryCount(q) != 3 || cat.QueryCount(q) != 3 {

@@ -13,7 +13,7 @@ import (
 // This file is the sharded engine's correctness contract: across shard
 // counts {1, 2, 3, 7, 16} and all three execution modes, answers must be
 // bit-identical to the unsharded engine, and — for the exhaustive modes —
-// consistent with the Evaluate/EvaluateWeighted oracle. Spec-QP's guarantee
+// consistent with the kg.Evaluate oracle. Spec-QP's guarantee
 // is exactly a rewriting-equivalence property (speculative plans must return
 // what exhaustive evaluation returns), which is easy to break silently under
 // parallel execution; these tests pin it.
@@ -178,7 +178,7 @@ func TestShardedEnginesMatchEvaluateOracle(t *testing.T) {
 		for _, shards := range oracleShardCounts {
 			eng := NewEngineWith(st, empty, Options{Shards: shards})
 			for qi, q := range queries {
-				oracle := st.Evaluate(q)
+				oracle := kg.Evaluate(st, q, nil)
 				const k = 10
 				results := map[string]Result{"naive": naiveQuery(eng, q, k)}
 				for _, mode := range []Mode{ModeSpecQP, ModeTriniT} {

@@ -44,7 +44,10 @@ type (
 	// ShardedStore is a Store hash-partitioned into independently-frozen
 	// segments, serving queries with per-shard merged scans.
 	ShardedStore = kg.ShardedStore
-	// Graph is the read interface implemented by Store and ShardedStore.
+	// Graph is the read interface implemented by Store and ShardedStore:
+	// the ten primitives (Dict, Len, Frozen, Triple, MatchList, Cardinality,
+	// MaxScore, HasDuplicates, Version, Pin) the operators, the statistics
+	// catalog and the engine read.
 	Graph = kg.Graph
 	// LiveGraph is the mutable extension of Graph: post-freeze Insert into
 	// per-segment mutable heads, merged by Compact. Both store layouts
@@ -383,7 +386,7 @@ type PatternStats = stats.PatternStats
 // PatternStats computes the two-bucket statistics of a pattern's normalised
 // scores — the four values the paper precomputes per triple pattern.
 func (e *Engine) PatternStats(p Pattern) (PatternStats, error) {
-	return stats.FitTwoBucket(e.graph.NormalizedScores(p))
+	return stats.FitTwoBucket(kg.NormalizedScores(e.graph, p))
 }
 
 // DefaultK is the top-k used by QuerySPARQL when the query has no LIMIT.
