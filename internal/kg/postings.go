@@ -1,48 +1,45 @@
 package kg
 
 import (
-	"runtime"
-	"sort"
-	"sync"
+	"cmp"
+	"slices"
 	"sync/atomic"
 )
 
-// This file builds a segment's posting families. All six families — byS,
-// byP, byO, byPO, bySP, bySPO — share one []int32 arena: each family owns a
-// contiguous region, each key a span (offset + length) inside it, laid out
-// with a counting pass so no per-key slice is ever allocated or grown. Every
-// span is sorted by raw score descending (triple index ascending as tiebreak)
-// exactly once, in parallel across spans, so the read path hands out slice
-// views with no locking, filtering or allocation. This is the paper's cost
-// model made literal: the database engine "retrieve[s] the matches for triple
-// patterns in sorted order", and the retrieval itself is free at query time —
-// and with the arena layout the index costs a flat 4 bytes per triple per
-// family, with no slice-header or append-growth overhead on the millions of
-// single-match keys a large graph has.
+// This file builds a segment's posting families: six []int32 arenas of
+// triple indexes, one entry per surviving triple each, laid out in key order
+// the way RDF-3X and Hexastore lay out their permutation indexes — except
+// that within a key every run is ordered by raw score descending (triple
+// index ascending as tiebreak). This is the paper's cost model made literal:
+// the database engine "retrieve[s] the matches for triple patterns in sorted
+// order", and at query time the retrieval is a binary search and a slice
+// view, with no locking, filtering or allocation.
+//
+// No map addresses the arenas. Three sorted distinct-key columns — the S, P
+// and O values present in the segment — each carry an offset column, and
+// every family led by the same position shares those offsets: an S run sits
+// at the same place in famS, famSP and famSPO, an O run in famO and famPO. A
+// composite key is a second binary search inside that run. The build is one
+// comparison sort by (−score, index) followed by stable radix passes over the
+// key IDs, so the same triples always yield the same layout.
 //
 // The families live in a postings value rather than on Store directly because
 // a live store rebuilds them at every head compaction: readers hold the old
 // immutable postings through their storeState snapshot while the merge builds
 // a new one, so a compaction never blocks or tears a concurrent scan.
 
-// Family indexes into postings.arenas.
+// Family indexes into postings.arenas, each ordered by the key positions in
+// its comment and then canonically. famS, famP and famO double as the key
+// positions that index postings.keys and postings.offs.
 const (
-	famS = iota
-	famP
-	famO
-	famPO
-	famSP
-	famSPO
+	famS   = iota // S
+	famP          // P
+	famO          // O
+	famPO         // O, P: led by O, so it shares famO's runs
+	famSP         // S, P
+	famSPO        // S, P, O
 	famCount
 )
-
-// span locates one posting inside its family's arena. Offsets are relative
-// to the family arena, which holds exactly one entry per triple — so int32
-// offsets cover every store whose triple indexes fit int32, the same
-// capacity as the old per-key-slice layout.
-type span struct {
-	off, n int32
-}
 
 // postings is one frozen segment's complete index state over a fixed triple
 // range. It is immutable once built; Store swaps in a freshly built value at
@@ -68,19 +65,13 @@ type postings struct {
 	// could not tell a retracted fact from a live one once its tombstone has
 	// been resolved and dropped.
 	dead []uint64
-	// arenas is the shared posting storage: one region per family (slices of
-	// a single flat allocation), holding triple indexes addressed by the
-	// spans in the index maps.
+	// arenas holds the six families, slices of one flat allocation.
 	arenas [famCount][]int32
-	// Secondary indexes from single bound positions to posting spans.
-	byS, byP, byO map[ID]span
-	// Composite indexes for the two most common access paths.
-	byPO map[[2]ID]span // (P,O) bound: 〈?s p o〉
-	bySP map[[2]ID]span // (S,P) bound: 〈s p ?o〉
-	// Full index for fully bound lookups, mapping (S,P,O) to every triple
-	// with those terms — duplicate additions of the same (s,p,o) with
-	// different scores are all retained, score-sorted like every posting.
-	bySPO map[[3]ID]span
+	// keys[pos] lists the distinct IDs at position pos (famS, famP or famO)
+	// in ascending order; key keys[pos][i] occupies [offs[pos][i],
+	// offs[pos][i+1]) of every family led by that position.
+	keys [3][]ID
+	offs [3][]int32
 	// hasDuplicates records whether any (s,p,o) key appears more than once in
 	// the frozen prefix; Count only needs binding dedup in that case.
 	hasDuplicates bool
@@ -93,13 +84,6 @@ type postings struct {
 	// computations (shared across compactions), for tests asserting the
 	// cache's single-flight guarantee.
 	residualComputes *atomic.Int64
-}
-
-// view returns the arena slice a span describes, capacity-clamped so caller
-// appends can never bleed into the neighbouring posting.
-func (po *postings) view(f int, s span) []int32 {
-	a := po.arenas[f]
-	return a[s.off : s.off+s.n : s.off+s.n]
 }
 
 // isDead reports whether triple index i was annihilated by a tombstone at or
@@ -122,38 +106,18 @@ func killedBy(tombs map[[3]ID]int32, t Triple, i int32) bool {
 	return ok && i < w
 }
 
-// bump counts one occurrence of key k during the counting pass.
-func bump[K comparable](m map[K]span, k K) {
-	s := m[k]
-	s.n++
-	m[k] = s
+// at returns t's ID at key position pos.
+func (t Triple) at(pos int) ID {
+	return [3]ID{t.S, t.P, t.O}[pos]
 }
 
-// assignOffsets lays the family's keys out contiguously in its arena and
-// rewinds each count to zero so the fill pass can reuse it as a cursor.
-func assignOffsets[K comparable](m map[K]span) {
-	off := int32(0)
-	for k, s := range m {
-		m[k] = span{off: off}
-		off += s.n
-	}
-}
-
-// place writes triple index ti into k's next free arena slot.
-func place[K comparable](m map[K]span, k K, arena []int32, ti int32) {
-	s := m[k]
-	arena[s.off+s.n] = ti
-	s.n++
-	m[k] = s
-}
-
-// buildPostings populates and sorts every posting family over the triple
-// range [lo, len(triples)). Called by Freeze and by every merge, always on a
-// mutator goroutine; the result is published to readers through an atomic
-// snapshot swap. prevDead is the predecessor segment's retraction bitmap
-// (nil at Freeze) and tombs the tombstone set to resolve: every triple in
-// range that is already dead, or that a tombstone's watermark retracts, is
-// skipped and marked dead — the built arenas hold surviving facts only.
+// buildPostings lays out every posting family over the triple range [lo,
+// len(triples)). Called by Freeze and by every merge, always on a mutator
+// goroutine; the result is published to readers through an atomic snapshot
+// swap. prevDead is the predecessor segment's retraction bitmap (nil at
+// Freeze) and tombs the tombstone set to resolve: every triple in range that
+// is already dead, or that a tombstone's watermark retracts, is skipped and
+// marked dead — the built arenas hold surviving facts only.
 func buildPostings(triples []Triple, lo int32, prevDead []uint64, tombs map[[3]ID]int32, computes *atomic.Int64) *postings {
 	nAll := len(triples)
 	dead := make([]uint64, (nAll+63)/64)
@@ -162,134 +126,182 @@ func buildPostings(triples []Triple, lo int32, prevDead []uint64, tombs map[[3]I
 		triples:          triples,
 		lo:               lo,
 		dead:             dead,
-		byS:              make(map[ID]span),
-		byP:              make(map[ID]span),
-		byO:              make(map[ID]span),
-		byPO:             make(map[[2]ID]span),
-		bySP:             make(map[[2]ID]span),
-		bySPO:            make(map[[3]ID]span, nAll-int(lo)),
 		residual:         newListCache(),
 		residualComputes: computes,
 	}
 
-	live := 0
+	// ord collects the survivors in canonical order; every family is a
+	// stable redistribution of it, so each run inherits that order.
+	ord := make([]int32, 0, nAll-int(lo))
 	for i := int(lo); i < nAll; i++ {
 		if dead[i>>6]&(1<<(uint32(i)&63)) != 0 {
 			continue
 		}
-		t := triples[i]
-		if killedBy(tombs, t, int32(i)) {
+		if killedBy(tombs, triples[i], int32(i)) {
 			dead[i>>6] |= 1 << (uint32(i) & 63)
 			continue
 		}
-		live++
-		bump(po.byS, t.S)
-		bump(po.byP, t.P)
-		bump(po.byO, t.O)
-		bump(po.byPO, [2]ID{t.P, t.O})
-		bump(po.bySP, [2]ID{t.S, t.P})
-		bump(po.bySPO, [3]ID{t.S, t.P, t.O})
+		ord = append(ord, int32(i))
 	}
-	// Fewer distinct (s,p,o) keys than surviving triples means some key
-	// appears more than once; Count only needs binding dedup in that case.
-	po.hasDuplicates = len(po.bySPO) < live
+	slices.SortFunc(ord, po.canonical)
 
-	backing := make([]int32, famCount*live)
-	for f := 0; f < famCount; f++ {
-		po.arenas[f] = backing[f*live : (f+1)*live : (f+1)*live]
+	n := len(ord)
+	backing := make([]int32, famCount*n)
+	for f := range po.arenas {
+		po.arenas[f] = backing[f*n : (f+1)*n : (f+1)*n]
 	}
-	assignOffsets(po.byS)
-	assignOffsets(po.byP)
-	assignOffsets(po.byO)
-	assignOffsets(po.byPO)
-	assignOffsets(po.bySP)
-	assignOffsets(po.bySPO)
+	// Least significant key first: each pass is stable, so a family ordered
+	// by (A, B) is its B-ordered source redistributed by A.
+	buf, tmp := make([]uint64, n), make([]uint64, n)
+	a := &po.arenas
+	for pos := famS; pos <= famO; pos++ {
+		po.keys[pos], po.offs[pos] = keyColumn(po.sortBy(a[pos], ord, pos, buf, tmp))
+	}
+	po.sortBy(a[famSP], a[famP], famS, buf, tmp)
+	po.sortBy(a[famPO], a[famP], famO, buf, tmp)
+	po.sortBy(ord, a[famO], famP, buf, tmp) // ord is scratch now: (P, O)
+	po.sortBy(a[famSPO], ord, famS, buf, tmp)
 
-	for i := int(lo); i < nAll; i++ {
-		if dead[i>>6]&(1<<(uint32(i)&63)) != 0 {
-			continue
-		}
-		t := triples[i]
-		ii := int32(i)
-		place(po.byS, t.S, po.arenas[famS], ii)
-		place(po.byP, t.P, po.arenas[famP], ii)
-		place(po.byO, t.O, po.arenas[famO], ii)
-		place(po.byPO, [2]ID{t.P, t.O}, po.arenas[famPO], ii)
-		place(po.bySP, [2]ID{t.S, t.P}, po.arenas[famSP], ii)
-		place(po.bySPO, [3]ID{t.S, t.P, t.O}, po.arenas[famSPO], ii)
+	// Copies of one (s,p,o) key are adjacent in famSPO.
+	spo := a[famSPO]
+	for i := 1; i < n && !po.hasDuplicates; i++ {
+		x, y := triples[spo[i-1]], triples[spo[i]]
+		po.hasDuplicates = x.S == y.S && x.P == y.P && x.O == y.O
 	}
-
-	// Collect every span that actually needs sorting; singletons are
-	// trivially sorted already.
-	var buckets [][]int32
-	collect := func(f int, s span) {
-		if s.n > 1 {
-			buckets = append(buckets, po.view(f, s))
-		}
-	}
-	for _, s := range po.byS {
-		collect(famS, s)
-	}
-	for _, s := range po.byP {
-		collect(famP, s)
-	}
-	for _, s := range po.byO {
-		collect(famO, s)
-	}
-	for _, s := range po.byPO {
-		collect(famPO, s)
-	}
-	for _, s := range po.bySP {
-		collect(famSP, s)
-	}
-	for _, s := range po.bySPO {
-		collect(famSPO, s)
-	}
-	po.sortBuckets(buckets)
 	return po
 }
 
-// sortBuckets score-sorts the buckets with a worker pool. Buckets are
-// disjoint arena regions, so workers never touch the same memory.
-func (po *postings) sortBuckets(buckets [][]int32) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(buckets) {
-		workers = len(buckets)
+// sortBy stably redistributes src into dst by each triple's ID at position
+// pos, and returns the (ID, source offset) pairs it sorted, packed one per
+// word. The sort is LSD radix over the ID's bytes, skipping the high bytes no
+// ID sets, so it is linear in len(src) whatever the IDs. buf and tmp are
+// scratch as long as src.
+func (po *postings) sortBy(dst, src []int32, pos int, buf, tmp []uint64) []uint64 {
+	var all ID
+	for i, ti := range src {
+		id := po.triples[ti].at(pos)
+		all |= id
+		buf[i] = uint64(id)<<32 | uint64(i)
 	}
-	if workers <= 1 {
-		for _, b := range buckets {
-			po.sortByScore(b)
+	for shift := 32; shift < 64 && all>>(shift-32) != 0; shift += 8 {
+		var count [257]int
+		for _, k := range buf {
+			count[k>>shift&0xff+1]++
 		}
-		return
+		for d := 1; d < len(count); d++ {
+			count[d] += count[d-1]
+		}
+		for _, k := range buf {
+			d := k >> shift & 0xff
+			tmp[count[d]] = k
+			count[d]++
+		}
+		buf, tmp = tmp, buf
 	}
-	jobs := make(chan []int32, len(buckets))
-	for _, b := range buckets {
-		jobs <- b
+	for i, k := range buf {
+		dst[i] = src[uint32(k)]
 	}
-	close(jobs)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range jobs {
-				po.sortByScore(b)
-			}
-		}()
-	}
-	wg.Wait()
+	return buf
 }
 
-// sortByScore orders triple indexes by raw score descending, index ascending
-// on ties — the canonical match-list order everywhere in the store.
-func (po *postings) sortByScore(l []int32) {
-	sort.Slice(l, func(a, b int) bool {
-		ta, tb := po.triples[l[a]], po.triples[l[b]]
-		if ta.Score != tb.Score {
-			return ta.Score > tb.Score
+// keyColumn reads the pairs a sortBy returned into the distinct-key
+// column and its run offsets (one more than keys, starting at 0).
+func keyColumn(buf []uint64) ([]ID, []int32) {
+	n := 0
+	for i := range buf {
+		if i == 0 || buf[i]>>32 != buf[i-1]>>32 {
+			n++
 		}
-		return l[a] < l[b]
-	})
+	}
+	keys, offs := make([]ID, 0, n), make([]int32, 0, n+1)
+	for i, k := range buf {
+		if i == 0 || k>>32 != buf[i-1]>>32 {
+			keys = append(keys, ID(k>>32))
+			offs = append(offs, int32(i))
+		}
+	}
+	return keys, append(offs, int32(len(buf)))
+}
+
+// canonical orders triple indexes by raw score descending, index ascending on
+// ties — the canonical match-list order everywhere in the store.
+func (po *postings) canonical(a, b int32) int {
+	if sa, sb := po.triples[a].Score, po.triples[b].Score; sa != sb {
+		if sa > sb {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a, b)
+}
+
+// run returns id's range [lo, hi) in every family led by position pos,
+// empty when no surviving triple carries id there.
+func (po *postings) run(pos int, id ID) (int32, int32) {
+	keys := po.keys[pos]
+	i, j := 0, len(keys)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if keys[h] < id {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i == len(keys) || keys[i] != id {
+		return 0, 0
+	}
+	return po.offs[pos][i], po.offs[pos][i+1]
+}
+
+// lead returns the posting of id at position pos: its whole run in the
+// single-position family.
+func (po *postings) lead(pos int, id ID) []int32 {
+	lo, hi := po.run(pos, id)
+	return po.arenas[pos][lo:hi:hi]
+}
+
+// tailP and tailPO are the keys a composite family orders by inside a
+// leading run: P in famSP and famPO, (P, O) in famSPO.
+func tailP(t Triple) uint64  { return uint64(t.P) }
+func tailPO(t Triple) uint64 { return uint64(t.P)<<32 | uint64(t.O) }
+
+// sub narrows family f's run of id at position pos to the entries whose
+// tail is want: a contiguous, score-sorted range, returned as a view
+// capacity-clamped so caller appends can never bleed into the neighbouring
+// posting. A side of the run whose edge entry already has the wanted tail
+// needs no search: on the benchmark's four read-only workloads that serves
+// every composite lookup, and two binary searches through triples[] would
+// nearly double MatchList's cost.
+func (po *postings) sub(f, pos int, id ID, tail func(Triple) uint64, want uint64) []int32 {
+	lo, hi := po.run(pos, id)
+	a := po.arenas[f]
+	if lo < hi && tail(po.triples[a[lo]]) < want { // so want > 0
+		lo = po.above(a, lo+1, hi, tail, want-1)
+	}
+	if lo < hi && tail(po.triples[a[hi-1]]) > want {
+		hi = po.above(a, lo, hi-1, tail, want)
+	}
+	return a[lo:hi:hi]
+}
+
+// above binary-searches a[i:j], ordered by tail, for the first entry whose
+// tail exceeds w, returning j when there is none.
+func (po *postings) above(a []int32, i, j int32, tail func(Triple) uint64, w uint64) int32 {
+	for i < j {
+		h := int32(uint32(i+j) >> 1)
+		if tail(po.triples[a[h]]) <= w {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// keyRun returns every surviving copy of the (s,p,o) key k, score-sorted.
+func (po *postings) keyRun(k [3]ID) []int32 {
+	return po.sub(famSPO, famS, k[0], tailPO, uint64(k[1])<<32|uint64(k[2]))
 }
 
 // matchList returns the frozen prefix's match list for p: a Freeze-sorted
@@ -318,7 +330,7 @@ func (po *postings) computeMatches(p Pattern) []int32 {
 				out = append(out, int32(i))
 			}
 		}
-		po.sortByScore(out)
+		slices.SortFunc(out, po.canonical)
 		return out
 	}
 	for _, i := range cand {
@@ -331,7 +343,7 @@ func (po *postings) computeMatches(p Pattern) []int32 {
 
 // matchedByIndex returns the pre-sorted posting that *is* the match list
 // of p: for these shapes the bound positions pin down the matches completely,
-// so the arena span needs no filtering, sorting, locking or allocation.
+// so the arena run needs no filtering, sorting, locking or allocation.
 // ok is false for residual shapes — S+O bound (requires an intersection),
 // repeated-variable patterns (require a consistency filter), and full scans
 // (sorted lazily on first use, since most workloads never run one) — which
@@ -340,28 +352,28 @@ func (po *postings) matchedByIndex(p Pattern) ([]int32, bool) {
 	sb, pb, ob := !p.S.IsVar, !p.P.IsVar, !p.O.IsVar
 	switch {
 	case sb && pb && ob:
-		return po.view(famSPO, po.bySPO[[3]ID{p.S.ID, p.P.ID, p.O.ID}]), true
+		return po.keyRun([3]ID{p.S.ID, p.P.ID, p.O.ID}), true
 	case pb && ob:
-		return po.view(famPO, po.byPO[[2]ID{p.P.ID, p.O.ID}]), true
+		return po.sub(famPO, famO, p.O.ID, tailP, uint64(p.P.ID)), true
 	case sb && pb:
-		return po.view(famSP, po.bySP[[2]ID{p.S.ID, p.P.ID}]), true
+		return po.sub(famSP, famS, p.S.ID, tailP, uint64(p.P.ID)), true
 	case sb && ob:
 		return nil, false
 	case sb:
 		if p.P.Name == p.O.Name {
 			return nil, false
 		}
-		return po.view(famS, po.byS[p.S.ID]), true
+		return po.lead(famS, p.S.ID), true
 	case ob:
 		if p.S.Name == p.P.Name {
 			return nil, false
 		}
-		return po.view(famO, po.byO[p.O.ID]), true
+		return po.lead(famO, p.O.ID), true
 	case pb:
 		if p.S.Name == p.O.Name {
 			return nil, false
 		}
-		return po.view(famP, po.byP[p.P.ID]), true
+		return po.lead(famP, p.P.ID), true
 	default:
 		return nil, false
 	}
@@ -381,17 +393,17 @@ func (po *postings) candidates(p Pattern) ([]int32, bool) {
 		return po.matchedByIndex(p)
 	case sb && ob:
 		// Intersect the two single-position postings, scanning the smaller.
-		a, fa := po.byS[p.S.ID], famS
-		if b := po.byO[p.O.ID]; b.n < a.n {
-			a, fa = b, famO
+		s, o := po.lead(famS, p.S.ID), po.lead(famO, p.O.ID)
+		if len(o) < len(s) {
+			s = o
 		}
-		return po.view(fa, a), true
+		return s, true
 	case sb:
-		return po.view(famS, po.byS[p.S.ID]), true
+		return po.lead(famS, p.S.ID), true
 	case ob:
-		return po.view(famO, po.byO[p.O.ID]), true
+		return po.lead(famO, p.O.ID), true
 	case pb:
-		return po.view(famP, po.byP[p.P.ID]), true
+		return po.lead(famP, p.P.ID), true
 	default:
 		return nil, false
 	}

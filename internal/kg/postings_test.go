@@ -3,6 +3,8 @@ package kg
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -31,9 +33,10 @@ func randomStore(t testing.TB, seed int64, n int) *Store {
 	return st
 }
 
-// oracleMatches is the naive reference: filter all triples, sort by score
-// descending with index ascending tiebreak (insertion sort keeps the oracle
-// independent of the store's own sort).
+// oracleMatches is the naive reference: filter all triples in index order,
+// then stable-sort by score descending so ties keep index order (a stable
+// merge sort keeps the oracle independent of the store's own sort and stays
+// fast on the skewed fixture's 10 000-entry hub lists).
 func oracleMatches(st *Store, p Pattern) []int32 {
 	var out []int32
 	for i := 0; i < st.Len(); i++ {
@@ -41,16 +44,111 @@ func oracleMatches(st *Store, p Pattern) []int32 {
 			out = append(out, int32(i))
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := st.Triple(out[j-1]), st.Triple(out[j])
-			if a.Score > b.Score || (a.Score == b.Score && out[j-1] < out[j]) {
-				break
+	sort.SliceStable(out, func(a, b int) bool {
+		return st.Triple(out[a]).Score > st.Triple(out[b]).Score
+	})
+	return out
+}
+
+// Hub IDs of skewedStore: a subject and an object with 10 000 triples each,
+// both in the middle of their key columns.
+const (
+	hubS = ID(1001)
+	hubO = ID(2000)
+)
+
+// skewedStore builds a store whose key columns are skewed and gappy: a hub
+// subject and a hub object with 10 000 triples each across 40 predicates, a
+// background of 2 000 ordinary triples, and duplicate (s,p,o) keys with tied
+// scores. Ordinary nodes are 9, 12, 15, …, so node IDs leave gaps below,
+// between and above them; predicates are 0, 2, …, 78, so ID 0 is present at
+// P only.
+func skewedStore(t testing.TB) *Store {
+	t.Helper()
+	rng := rand.New(rand.NewSource(31))
+	st := NewStore(nil)
+	add := func(s, p, o ID) {
+		tr := Triple{S: s, P: p, O: o, Score: float64(rng.Intn(20))}
+		copies := 1
+		if rng.Intn(40) == 0 {
+			copies = 3 // a duplicate key with a tied score
+		}
+		for ; copies > 0; copies-- {
+			if err := st.Add(tr); err != nil {
+				t.Fatal(err)
 			}
-			out[j-1], out[j] = out[j], out[j-1]
 		}
 	}
-	return out
+	pred := func() ID { return ID(2 * rng.Intn(40)) }
+	node := func() ID { return ID(9 + 3*rng.Intn(2000)) }
+	for i := 0; i < 10000; i++ {
+		add(hubS, pred(), node())
+		add(node(), pred(), hubO)
+	}
+	for i := 0; i < 2000; i++ {
+		add(node(), pred(), node())
+	}
+	st.Freeze()
+	return st
+}
+
+// probeIDs returns the IDs to look up at key position pos: ID 0, the first
+// and last present keys, absent keys below, between and above them, NoID and
+// the hubs.
+func probeIDs(st *Store, pos int) []ID {
+	present := map[ID]bool{}
+	first, last := NoID, ID(0)
+	for i := 0; i < st.Len(); i++ {
+		id := st.Triple(int32(i)).at(pos)
+		present[id] = true
+		first, last = min(first, id), max(last, id)
+	}
+	ids := []ID{0, first, last, last + 1, NoID, hubS, hubO}
+	if first > 0 {
+		ids = append(ids, first-1)
+	}
+	for id := first; id < last; id++ {
+		if !present[id] {
+			ids = append(ids, id)
+			break
+		}
+	}
+	return ids
+}
+
+// probePatterns crosses the probe IDs of every position into every pattern
+// shape: the six indexed families, S+O, and the repeated-variable shapes.
+func probePatterns(st *Store) []Pattern {
+	ss, ps, os := probeIDs(st, famS), probeIDs(st, famP), probeIDs(st, famO)
+	var pats []Pattern
+	for _, s := range ss {
+		pats = append(pats,
+			NewPattern(Const(s), Var("p"), Var("o")),
+			NewPattern(Const(s), Var("x"), Var("x")))
+		for _, p := range ps {
+			pats = append(pats, NewPattern(Const(s), Const(p), Var("o")))
+			for _, o := range os {
+				pats = append(pats, NewPattern(Const(s), Const(p), Const(o)))
+			}
+		}
+		for _, o := range os {
+			pats = append(pats, NewPattern(Const(s), Var("p"), Const(o)))
+		}
+	}
+	for _, p := range ps {
+		pats = append(pats,
+			NewPattern(Var("s"), Const(p), Var("o")),
+			NewPattern(Var("x"), Const(p), Var("x")))
+		for _, o := range os {
+			pats = append(pats, NewPattern(Var("s"), Const(p), Const(o)))
+		}
+	}
+	for _, o := range os {
+		pats = append(pats,
+			NewPattern(Var("s"), Var("p"), Const(o)),
+			NewPattern(Var("x"), Var("x"), Const(o)))
+	}
+	return pats
 }
 
 func equalLists(a, b []int32) bool {
@@ -68,8 +166,19 @@ func equalLists(a, b []int32) bool {
 // TestPostingsAgreeWithOracle is the Freeze-time property test: for every
 // pattern shape — each posting family, the full scan, repeated-variable
 // shapes and the S+O residual — MatchList agrees element-for-element with
-// the naive filter+sort oracle.
+// the naive filter+sort oracle, on small duplicate-heavy stores and on the
+// skewed store's hubs, column edges and absent keys.
 func TestPostingsAgreeWithOracle(t *testing.T) {
+	check := func(name string, st *Store, pats []Pattern) {
+		t.Helper()
+		for _, p := range pats {
+			got := st.MatchList(p)
+			want := oracleMatches(st, p)
+			if !equalLists(got, want) {
+				t.Fatalf("%s pattern %v: got %v want %v", name, p, got, want)
+			}
+		}
+	}
 	for trial := int64(0); trial < 10; trial++ {
 		st := randomStore(t, 100+trial, 300)
 		var pats []Pattern
@@ -77,12 +186,12 @@ func TestPostingsAgreeWithOracle(t *testing.T) {
 			s, o := Const(ID(id)), Const(ID(id))
 			p := Const(ID(id % 3))
 			pats = append(pats,
-				NewPattern(s, Var("p"), Var("o")),            // byS
-				NewPattern(Var("s"), p, Var("o")),            // byP
-				NewPattern(Var("s"), Var("p"), o),            // byO
-				NewPattern(Var("s"), p, o),                   // byPO
-				NewPattern(s, p, Var("o")),                   // bySP
-				NewPattern(s, p, o),                          // bySPO
+				NewPattern(s, Var("p"), Var("o")),            // famS
+				NewPattern(Var("s"), p, Var("o")),            // famP
+				NewPattern(Var("s"), Var("p"), o),            // famO
+				NewPattern(Var("s"), p, o),                   // famPO
+				NewPattern(s, p, Var("o")),                   // famSP
+				NewPattern(s, p, o),                          // famSPO
 				NewPattern(s, Var("p"), Const(ID((id+3)%8))), // S+O residual
 				NewPattern(s, Var("x"), Var("x")),            // repeated vars, S bound
 				NewPattern(Var("x"), Var("x"), o),            // repeated vars, O bound
@@ -94,13 +203,122 @@ func TestPostingsAgreeWithOracle(t *testing.T) {
 			NewPattern(Var("x"), Var("p"), Var("x")), // full scan, repeated
 			NewPattern(Var("x"), Var("x"), Var("x")), // all repeated
 		)
+		check(fmt.Sprintf("trial %d", trial), st, pats)
+	}
+	st := skewedStore(t)
+	if !st.HasDuplicates() {
+		t.Fatal("skewed store: duplicate keys not detected")
+	}
+	if n := len(st.MatchList(NewPattern(Const(hubS), Var("p"), Var("o")))); n < 10000 {
+		t.Fatalf("hub subject has %d triples, want >= 10000", n)
+	}
+	if n := len(st.MatchList(NewPattern(Var("s"), Var("p"), Const(hubO)))); n < 10000 {
+		t.Fatalf("hub object has %d triples, want >= 10000", n)
+	}
+	check("skewed", st, probePatterns(st))
+}
+
+// TestLargeRawIDs checks that the posting build does not depend on how large
+// the term IDs are: raw IDs that straddle every byte boundary, up to the
+// largest below the NoID sentinel, index correctly at Freeze, through tiered
+// merges into an L1 tier, and after a full Compact.
+func TestLargeRawIDs(t *testing.T) {
+	ids := []ID{0, 1, 255, 256, 65535, 65536, 1 << 24, 1 << 31, NoID - 1}
+	rng := rand.New(rand.NewSource(41))
+	random := func() Triple {
+		pick := func() ID { return ids[rng.Intn(len(ids))] }
+		return Triple{S: pick(), P: pick(), O: pick(), Score: float64(rng.Intn(10))}
+	}
+	st := NewStore(nil)
+	for i := 0; i < 400; i++ {
+		if err := st.Add(random()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var pats []Pattern
+	for _, a := range ids {
+		x := Const(a)
+		pats = append(pats,
+			NewPattern(x, Var("p"), Var("o")),
+			NewPattern(Var("s"), x, Var("o")),
+			NewPattern(Var("s"), Var("p"), x))
+		for _, b := range ids {
+			y := Const(b)
+			pats = append(pats,
+				NewPattern(x, y, Var("o")),
+				NewPattern(Var("s"), x, y),
+				NewPattern(x, Var("p"), y),
+				NewPattern(x, y, Const(ids[rng.Intn(len(ids))])))
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
 		for _, p := range pats {
-			got := st.MatchList(p)
-			want := oracleMatches(st, p)
-			if !equalLists(got, want) {
-				t.Fatalf("trial %d pattern %v: got %v want %v", trial, p, got, want)
+			if got, want := st.MatchList(p), oracleMatches(st, p); !equalLists(got, want) {
+				t.Fatalf("%s pattern %v: got %v want %v", stage, p, got, want)
 			}
 		}
+	}
+	st.Freeze()
+	check("freeze")
+	st.SetHeadLimit(16)
+	st.SetL1Limit(1 << 20)
+	for i := 0; i < 200; i++ {
+		if err := st.Insert(random()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.L1Len() == 0 {
+		t.Fatal("inserts past the head limit built no L1 tier")
+	}
+	check("tiered")
+	st.Compact()
+	check("compact")
+}
+
+// TestLayoutDeterministic pins the posting layout as a function of the
+// triples alone: two Freezes of the same input, and two full Compacts after
+// the same insert/delete/update script, build identical arenas, key columns
+// and dead bitmaps.
+func TestLayoutDeterministic(t *testing.T) {
+	layout := func(st *Store) []any {
+		po := st.state().post
+		return []any{po.arenas, po.keys, po.offs, po.dead, po.hasDuplicates}
+	}
+	a, b := randomStore(t, 11, 2000), randomStore(t, 11, 2000)
+	if !reflect.DeepEqual(layout(a), layout(b)) {
+		t.Fatal("two Freezes of the same triples built different layouts")
+	}
+	script := func(st *Store) {
+		st.SetHeadLimit(-1)
+		rng := rand.New(rand.NewSource(12))
+		for i := 0; i < 600; i++ {
+			tr := Triple{S: ID(rng.Intn(8)), P: ID(rng.Intn(3)), O: ID(rng.Intn(8)), Score: float64(rng.Intn(50))}
+			var err error
+			switch rng.Intn(3) {
+			case 0:
+				err = st.Insert(tr)
+			case 1:
+				_, err = st.Delete(tr.S, tr.P, tr.O)
+			default:
+				err = st.Update(tr)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%150 == 149 {
+				st.Compact()
+			}
+		}
+		st.Compact()
+	}
+	script(a)
+	script(b)
+	if a.HeadLen() != 0 || a.Tombstones() != 0 {
+		t.Fatalf("script left head=%d tombstones=%d after a full Compact", a.HeadLen(), a.Tombstones())
+	}
+	if !reflect.DeepEqual(layout(a), layout(b)) {
+		t.Fatal("two full Compacts after the same script built different layouts")
 	}
 }
 
@@ -278,8 +496,16 @@ func BenchmarkMatchList(b *testing.B) {
 		{"SPO", NewPattern(Const(ID(1)), Const(ID(1)), Const(ID(2)))},
 		{"scan", NewPattern(Var("s"), Var("p"), Var("o"))},
 		{"residual-warm", NewPattern(Const(ID(1)), Var("p"), Const(ID(2)))},
+		// A mid-column predicate inside the hub object's 10 000-entry run:
+		// both binary searches of the composite lookup do real work.
+		{"hub-PO", NewPattern(Var("s"), Const(ID(40)), Const(hubO))},
 	}
+	hub := skewedStore(b)
 	for _, sh := range shapes {
+		st := st
+		if sh.name == "hub-PO" {
+			st = hub
+		}
 		b.Run(sh.name, func(b *testing.B) {
 			st.MatchList(sh.pat) // warm residuals; no-op for fast paths
 			b.ReportAllocs()
@@ -291,7 +517,8 @@ func BenchmarkMatchList(b *testing.B) {
 	}
 }
 
-// BenchmarkFreeze measures the parallel posting build+sort.
+// BenchmarkFreeze measures the posting build: one canonical sort of the
+// triple indexes and the stable radix passes that lay out each family.
 func BenchmarkFreeze(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	triples := make([]Triple, 200000)

@@ -9,8 +9,8 @@ import (
 
 // ShardedStore is a Graph over N hash-partitioned segments: every triple is
 // routed to a shard by its subject ID, each shard is an independent *Store
-// sharing one dictionary, and Freeze freezes all shards in parallel (each
-// shard's posting sorts additionally fan out over their own worker pool).
+// sharing one dictionary, and Freeze freezes all shards in parallel, one
+// goroutine per shard.
 // After Freeze the store stays live: Insert routes new triples into the
 // owning shard's mutable head, and each shard compacts its own head into its
 // frozen arena independently — compacting one shard never touches, or blocks

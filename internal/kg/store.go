@@ -15,7 +15,7 @@ import (
 // store is safe for concurrent readers — and, since the live-ingest layer,
 // for concurrent writers through Insert: new triples land in a small mutable
 // head overlay on top of the frozen segment, and Compact (or crossing the
-// head-size limit) counting-sorts the head into the frozen posting arenas.
+// head-size limit) rebuilds the frozen posting arenas with the head folded in.
 //
 // Freeze builds every posting family pre-sorted by raw score descending
 // (triple index as tiebreak), mirroring the paper's setup where a database
@@ -75,7 +75,7 @@ type Store struct {
 	// fold into the main arena, tiered = head → L1), and the *NS fields
 	// accumulate each tier's merge wall time — the /metrics per-tier
 	// compaction gauges.
-	compactionsFull, compactionsTiered atomic.Uint64
+	compactionsFull, compactionsTiered   atomic.Uint64
 	compactionFullNS, compactionTieredNS atomic.Int64
 	// pins counts Pin calls (snapshot views handed out). Views are garbage
 	// collected, not released, so this is a cumulative taken-counter.
@@ -204,7 +204,7 @@ func (s *storeState) filterLive(l []int32) []int32 {
 func (s *storeState) liveKeyCount(k [3]ID) int {
 	n := 0
 	count := func(po *postings) {
-		for _, ti := range po.view(famSPO, po.bySPO[k]) {
+		for _, ti := range po.keyRun(k) {
 			if !s.killed(ti) {
 				n++
 			}
@@ -291,11 +291,11 @@ func (st *Store) AddSPO(s, p, o string, score float64) error {
 	})
 }
 
-// Freeze builds the score-sorted secondary indexes, parallelising the
-// per-bucket sorts across a worker pool. Add must not be called afterwards;
-// Insert may be. Freeze is idempotent but not itself safe for concurrent
-// use; freeze from one goroutine, then read — and Insert — from as many as
-// you like.
+// Freeze builds the key-ordered, score-sorted posting families: one sort of
+// the triples by score, then stable radix passes per family. Add must not
+// be called afterwards; Insert may be. Freeze is idempotent but not itself
+// safe for concurrent use; freeze from one goroutine, then read — and Insert
+// — from as many as you like.
 func (st *Store) Freeze() {
 	if st.frozen {
 		return
@@ -464,21 +464,8 @@ func (st *Store) insert(t Triple) (needCompact bool, err error) {
 	head = append(head, idx)
 	head = append(head, s.headSorted[pos:]...)
 
-	dup := s.headDup
-	if !dup {
-		k := [3]ID{t.S, t.P, t.O}
-		if s.post.bySPO[k].n > 0 || (s.l1 != nil && s.l1.bySPO[k].n > 0) {
-			dup = true
-		} else {
-			for _, hi := range s.headSorted {
-				h := s.triples[hi]
-				if h.S == t.S && h.P == t.P && h.O == t.O {
-					dup = true
-					break
-				}
-			}
-		}
-	}
+	k := [3]ID{t.S, t.P, t.O}
+	dup := s.headDup || s.frozenHas(k) || countKey(s, s.headSorted, k) > 0
 
 	ns := &storeState{
 		triples: triples, post: s.post, l1: s.l1, headSorted: head,
@@ -520,7 +507,7 @@ func (st *Store) deleteLocked(k [3]ID) (int, error) {
 	s := st.live.Load()
 	removed := s.liveKeyCount(k)
 	head := s.headSorted
-	if dropped := countHeadKey(s, k); dropped > 0 {
+	if dropped := countKey(s, s.headSorted, k); dropped > 0 {
 		head = dropHeadKey(s, k, dropped)
 		removed += dropped
 	}
@@ -556,10 +543,16 @@ func (st *Store) DeleteSPO(s, p, o string) (int, error) {
 	return st.Delete(sid, pid, oid)
 }
 
-// countHeadKey counts head entries carrying key k.
-func countHeadKey(s *storeState, k [3]ID) int {
+// frozenHas reports whether a frozen segment holds a copy of key k.
+func (s *storeState) frozenHas(k [3]ID) bool {
+	return len(s.post.keyRun(k)) > 0 || (s.l1 != nil && len(s.l1.keyRun(k)) > 0)
+}
+
+// countKey counts the entries of head, a list of triple indexes, carrying
+// key k.
+func countKey(s *storeState, head []int32, k [3]ID) int {
 	n := 0
-	for _, hi := range s.headSorted {
+	for _, hi := range head {
 		t := s.triples[hi]
 		if t.S == k[0] && t.P == k[1] && t.O == k[2] {
 			n++
@@ -632,7 +625,7 @@ func (st *Store) update(t Triple) (needCompact bool, err error) {
 	k := [3]ID{t.S, t.P, t.O}
 	removed := s.liveKeyCount(k)
 	head := s.headSorted
-	if dropped := countHeadKey(s, k); dropped > 0 {
+	if dropped := countKey(s, s.headSorted, k); dropped > 0 {
 		head = dropHeadKey(s, k, dropped)
 		removed += dropped
 	}
@@ -718,16 +711,15 @@ func (st *Store) InsertSPO(s, p, o string, score float64) error {
 }
 
 // Compact merges everything into the main frozen segment: the full triple
-// sequence — head, L1 tier and all — is re-laid into the counting-sort
-// posting arenas (reusing the parallel per-bucket sort worker pool), every
-// covered tombstone is annihilated (its victims leave the arenas for good),
-// and a fresh all-frozen snapshot is published. Neither readers nor writers
-// are blocked for the rebuild — the expensive posting build runs outside the
-// mutex against an immutable snapshot, and triples mutated meanwhile are
-// folded back in as the new head at publish time. The visible triple set is
-// unchanged throughout, so answers before and after a compaction are
-// bit-identical. No-op on an unfrozen store or when there is nothing to
-// merge (empty head, no L1, no pending tombstones).
+// sequence — head, L1 tier and all — is re-laid into fresh posting arenas by
+// the build Freeze runs, every covered tombstone is annihilated (its victims
+// leave the arenas for good), and a fresh all-frozen snapshot is published.
+// Neither readers nor writers are blocked for the rebuild — the expensive
+// posting build runs outside the mutex against an immutable snapshot, and
+// triples mutated meanwhile are folded back in as the new head at publish
+// time. The visible triple set is unchanged throughout, so answers before and
+// after a compaction are bit-identical. No-op on an unfrozen store or when
+// there is nothing to merge (empty head, no L1, no pending tombstones).
 func (st *Store) Compact() {
 	st.mu.Lock()
 	if !st.frozen {
@@ -836,14 +828,8 @@ func headDupFor(s *storeState) bool {
 	for i, hi := range s.headSorted {
 		t := s.triples[hi]
 		k := [3]ID{t.S, t.P, t.O}
-		if s.post.bySPO[k].n > 0 || (s.l1 != nil && s.l1.bySPO[k].n > 0) {
+		if s.frozenHas(k) || countKey(s, s.headSorted[:i], k) > 0 {
 			return true
-		}
-		for _, hj := range s.headSorted[:i] {
-			h := s.triples[hj]
-			if h.S == t.S && h.P == t.P && h.O == t.O {
-				return true
-			}
 		}
 	}
 	return false
@@ -851,9 +837,10 @@ func headDupFor(s *storeState) bool {
 
 // crossDupFor reports whether any L1 (s,p,o) key also has main-segment
 // entries — a merged match list could then repeat a binding across segments.
+// It walks L1's famSPO arena, looking each key up in the main segment.
 func crossDupFor(post, l1 *postings) bool {
-	for k := range l1.bySPO {
-		if post.bySPO[k].n > 0 {
+	for _, ti := range l1.arenas[famSPO] {
+		if t := l1.triples[ti]; len(post.keyRun([3]ID{t.S, t.P, t.O})) > 0 {
 			return true
 		}
 	}
