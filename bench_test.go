@@ -687,7 +687,7 @@ func BenchmarkCompact(b *testing.B) {
 				ss.Freeze()
 				ss.SetHeadLimit(-1)
 				for _, tr := range triples[baseN:] {
-					if err := ss.Insert(tr); err != nil {
+					if _, _, err := ss.Apply(kg.Mutation{Op: kg.OpInsert, Triple: tr}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -18,28 +18,28 @@ import (
 // Update — survives a crash.
 //
 // The protocol is write-ahead with one serialisation point: a mutation (1)
-// validates, (2) under the durable mutex reserves its log position(s) AND
+// validates, (2) under the durable mutex reserves its log position AND
 // applies to the store — so log order and global mutation order are the same
 // order — and (3) outside the mutex waits for the group-commit pipeline to
-// make the record durable per the SyncPolicy. An insert logs one KindInsert
-// record; a delete logs one KindTombstone; an update logs a tombstone
-// followed by an insert (two sequence numbers, matching the store's
-// two-operation accounting). Because every sequence number corresponds to
-// exactly one store operation (LiveGraph.Ops — NOT one triple: a tombstone
-// consumes a sequence number without adding a triple), a snapshot pinned at
-// operation count O covers exactly log positions 1..O-base, which is how
-// checkpoints pin their (snapshot, log offset) pair without quiescing
-// writers: WriteGraphSnapshot captures a consistent pinned view (survivors
-// only — a checkpoint never carries a retracted fact) and returns its
-// operation count, and the manifest commit plus segment truncation follow.
+// make the record durable per the SyncPolicy. Every kg.Mutation logs as
+// exactly one record of the matching kind (KindInsert, KindTombstone or
+// KindUpdate) and counts as exactly one store operation (LiveGraph.Ops — NOT
+// one triple: a tombstone consumes a sequence number without adding a
+// triple). So a snapshot pinned at operation count O covers exactly log
+// positions 1..O-base, which is how checkpoints pin their (snapshot, log
+// offset) pair without quiescing writers: WriteGraphSnapshot captures a
+// consistent pinned view (survivors only — a checkpoint never carries a
+// retracted fact) and returns its operation count, and the manifest commit
+// plus segment truncation follow.
 //
 // Recovery (OpenDurable) loads the manifest's snapshot into a fresh store —
 // flat or sharded per Options.Shards — replays the log tail's records (term
 // strings, not IDs: re-encoding in log order reproduces the mutation order,
 // and subject-hash routing re-derives shard placement under any shard
-// count), and resumes with the next sequence number. A pure-insert tail
-// replays with pre-freeze Adds; the first tombstone freezes the store and
-// replays the rest live.
+// count), and resumes with the next sequence number. Each record replays
+// through replay, the one record → mutation function a follower's
+// Replica.Apply shares. A pure-insert tail replays pre-freeze; the first
+// tombstone or update freezes the store and replays the rest live.
 
 // SyncPolicy re-exports the WAL fsync discipline.
 type SyncPolicy = wal.SyncPolicy
@@ -260,12 +260,10 @@ func openDurableFS(fsys wal.FS, base *Store, rules *RuleSet, opts Options) (*Eng
 // loadDurableState rebuilds the store a recovery describes: the manifest's
 // snapshot loaded into the layout Options.Shards selects, then the log tail
 // replayed in sequence order. The pure-insert prefix of the tail replays
-// with plain pre-freeze Adds; the first tombstone freezes the store (deletes
-// are live operations) and the rest replays through Insert/Delete, which
-// keeps the operation count in lockstep with the sequence numbers under any
-// interleaving. Record terms are interned unconditionally — dictionary IDs
-// may diverge from the original process's, but term-level content (what
-// recovery promises) is reproduced exactly.
+// into the unfrozen store, staged like Add; the first tombstone or update
+// freezes it (deletes and updates are live operations) and the rest replays
+// live, which keeps the operation count in lockstep with the sequence
+// numbers under any interleaving.
 func loadDurableState(fsys wal.FS, rec *wal.Recovery, opts Options) (kg.LiveGraph, error) {
 	rd, err := fsys.Open(rec.Manifest.Snapshot)
 	if err != nil {
@@ -273,56 +271,16 @@ func loadDurableState(fsys wal.FS, rec *wal.Recovery, opts Options) (kg.LiveGrap
 	}
 	defer rd.Close()
 
-	shards := opts.Shards
-	if shards < 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	// stage is the loading surface both layouts share.
-	type stage interface {
-		kg.LiveGraph
-		Add(kg.Triple) error
-		AddSPO(s, p, o string, score float64) error
-		InsertSPO(s, p, o string, score float64) error
-		Freeze()
-	}
-	var g stage
-	if shards > 1 {
-		g = kg.NewShardedStore(nil, shards)
-	} else {
-		g = kg.NewStore(nil)
-	}
+	g := newStage(opts.Shards)
 	if err := kg.ReadBinaryInto(rd, g.Dict(), g.Add); err != nil {
 		return nil, fmt.Errorf("specqp: loading snapshot %s: %w", rec.Manifest.Snapshot, err)
 	}
-	i := 0
-	for ; i < len(rec.Records); i++ {
-		r := rec.Records[i]
-		if r.Kind != wal.KindInsert {
-			break
+	for _, r := range rec.Records {
+		if r.Kind != wal.KindInsert && !g.Frozen() {
+			g.Freeze()
 		}
-		if err := g.AddSPO(r.S, r.P, r.O, r.Score); err != nil {
-			return nil, fmt.Errorf("specqp: replaying WAL record %d: %w", r.Seq, err)
-		}
-	}
-	if i < len(rec.Records) {
-		g.Freeze()
-		d := g.Dict()
-		for _, r := range rec.Records[i:] {
-			switch r.Kind {
-			case wal.KindInsert:
-				if err := g.InsertSPO(r.S, r.P, r.O, r.Score); err != nil {
-					return nil, fmt.Errorf("specqp: replaying WAL record %d: %w", r.Seq, err)
-				}
-			case wal.KindTombstone:
-				// Delete by encoded ID, not DeleteSPO: the short-circuit on
-				// unknown terms would skip the operation count this record's
-				// sequence number already consumed.
-				if _, err := g.Delete(d.Encode(r.S), d.Encode(r.P), d.Encode(r.O)); err != nil {
-					return nil, fmt.Errorf("specqp: replaying WAL record %d: %w", r.Seq, err)
-				}
-			default:
-				return nil, fmt.Errorf("specqp: unsupported WAL record kind %d at seq %d", r.Kind, r.Seq)
-			}
+		if err := replay(g, r); err != nil {
+			return nil, err
 		}
 	}
 	// With a pure-insert tail the store returns unfrozen and NewEngineOver
@@ -330,58 +288,70 @@ func loadDurableState(fsys wal.FS, rec *wal.Recovery, opts Options) (kg.LiveGrap
 	return g, nil
 }
 
-// insert is the durable Insert path (see the file comment for the protocol).
-func (w *walState) insert(lg kg.LiveGraph, t Triple) error {
-	if err := kg.ValidateScore(t.Score); err != nil {
-		return err
-	}
-	d := lg.Dict()
-	n := kg.ID(d.Len())
-	if t.S >= n || t.P >= n || t.O >= n {
-		return fmt.Errorf("specqp: insert references unknown term ID (dictionary holds %d terms)", n)
-	}
-	rec := wal.Record{Kind: wal.KindInsert, S: d.Decode(t.S), P: d.Decode(t.P), O: d.Decode(t.O), Score: t.Score}
+// stage is the loading surface both store layouts share: a live graph that
+// can be bulk-loaded before Freeze.
+type stage interface {
+	kg.LiveGraph
+	Add(kg.Triple) error
+	Freeze()
+}
 
-	w.mu.Lock()
-	wait, err := w.log.AppendAsync(rec)
-	if err != nil {
-		w.mu.Unlock()
-		return err
+// newStage returns an empty store in the layout a shard count selects: flat
+// for 0 or 1, sharded beyond, one shard per CPU when negative.
+func newStage(shards int) stage {
+	if shards < 0 {
+		shards = runtime.GOMAXPROCS(0)
 	}
-	compact, aerr := lg.InsertDeferred(t)
-	w.mu.Unlock()
-	if aerr != nil {
-		// Unreachable: the triple was validated above with the store's own
-		// checks. Reaching this would leave a logged record with no applied
-		// triple — a broken durability invariant worth crashing over.
-		panic(fmt.Sprintf("specqp: validated insert rejected by store after logging: %v", aerr))
+	if shards > 1 {
+		return kg.NewShardedStore(nil, shards)
 	}
-	werr := wait()
+	return kg.NewStore(nil)
+}
+
+// The mutation ops are the WAL record kinds that log them, so a record and
+// its mutation convert by value. These fail to build if either side drifts.
+var (
+	_ = [1]struct{}{}[int(kg.OpInsert)-int(wal.KindInsert)]
+	_ = [1]struct{}{}[int(kg.OpDelete)-int(wal.KindTombstone)]
+	_ = [1]struct{}{}[int(kg.OpUpdate)-int(wal.KindUpdate)]
+)
+
+// replay applies one logged record to g as the one mutation it logged, any
+// compaction it triggers run inline. It serves recovery's log tail and a
+// follower's shipped records alike. Record terms are interned
+// unconditionally — never looked up and skipped when unknown, which would
+// skip the operation this record's sequence number consumed — so dictionary
+// IDs may diverge from the original process's, but term-level content (what
+// recovery and replication promise) is reproduced exactly.
+func replay(g kg.LiveGraph, r wal.Record) error {
+	d := g.Dict()
+	m := kg.Mutation{Op: kg.Op(r.Kind), Triple: kg.Triple{S: d.Encode(r.S), P: d.Encode(r.P), O: d.Encode(r.O), Score: r.Score}}
+	_, compact, err := g.Apply(m)
 	if compact != nil {
-		// The merge the insert triggered runs on this goroutine like the
-		// non-durable path, but outside the ordering mutex: other durable
-		// inserts proceed while the posting arenas rebuild.
 		compact()
 	}
-	if werr != nil {
-		return werr
+	if err != nil {
+		return fmt.Errorf("specqp: replaying WAL record %d: %w", r.Seq, err)
 	}
-	w.maybeCheckpoint(lg)
 	return nil
 }
 
-// delete is the durable Delete path: one tombstone record reserved and the
-// retraction applied under the ordering mutex, the durability wait outside
-// it. A delete of a key with no live copies still logs (and consumes a
-// sequence number) — the store counts it as an operation either way, which
-// keeps the ops↔seq lockstep unconditional.
-func (w *walState) delete(lg kg.LiveGraph, s, p, o kg.ID) (int, error) {
-	d := lg.Dict()
-	n := kg.ID(d.Len())
-	if s >= n || p >= n || o >= n {
-		return 0, fmt.Errorf("specqp: delete references unknown term ID (dictionary holds %d terms)", n)
+// apply is the durable write path (see the file comment for the protocol):
+// m validated, its one record reserved and m applied under the ordering
+// mutex, the durability wait outside it. A delete of a key with no live
+// copies still logs (and consumes a sequence number) — the store counts it
+// as an operation either way, which keeps the ops↔seq lockstep
+// unconditional.
+func (w *walState) apply(lg kg.LiveGraph, m kg.Mutation) (int, error) {
+	if err := m.Validate(); err != nil {
+		return 0, err
 	}
-	rec := wal.Record{Kind: wal.KindTombstone, S: d.Decode(s), P: d.Decode(p), O: d.Decode(o)}
+	d := lg.Dict()
+	t := m.Triple
+	if n := kg.ID(d.Len()); t.S >= n || t.P >= n || t.O >= n {
+		return 0, fmt.Errorf("specqp: mutation references unknown term ID (dictionary holds %d terms)", n)
+	}
+	rec := wal.Record{Kind: byte(m.Op), S: d.Decode(t.S), P: d.Decode(t.P), O: d.Decode(t.O), Score: t.Score}
 
 	w.mu.Lock()
 	wait, err := w.log.AppendAsync(rec)
@@ -389,69 +359,26 @@ func (w *walState) delete(lg kg.LiveGraph, s, p, o kg.ID) (int, error) {
 		w.mu.Unlock()
 		return 0, err
 	}
-	removed, aerr := lg.Delete(s, p, o)
+	removed, compact, aerr := lg.Apply(m)
 	w.mu.Unlock()
 	if aerr != nil {
-		// Unreachable on a frozen engine graph; a logged tombstone with no
-		// applied retraction is a broken durability invariant worth crashing
-		// over.
-		panic(fmt.Sprintf("specqp: delete rejected by store after logging: %v", aerr))
+		// Unreachable: m was validated above with the store's own checks.
+		// Reaching this would leave a logged record with no applied
+		// mutation — a broken durability invariant worth crashing over.
+		panic(fmt.Sprintf("specqp: validated mutation rejected by store after logging: %v", aerr))
 	}
-	if werr := wait(); werr != nil {
+	werr := wait()
+	if compact != nil {
+		// The merge the mutation triggered runs on this goroutine like the
+		// non-durable path, but outside the ordering mutex: other durable
+		// mutations proceed while the posting arenas rebuild.
+		compact()
+	}
+	if werr != nil {
 		return removed, werr
 	}
 	w.maybeCheckpoint(lg)
 	return removed, nil
-}
-
-// update is the durable Update path: a tombstone and an insert record
-// reserved back-to-back (two sequence numbers, matching the store's
-// two-operation accounting) and the latest-wins re-score applied once, all
-// under the ordering mutex. A crash between the two records recovers as a
-// bare delete — the un-acked update's retraction half — which is exactly the
-// acked-prefix contract: the caller was never told the update happened.
-func (w *walState) update(lg kg.LiveGraph, t Triple) error {
-	if err := kg.ValidateScore(t.Score); err != nil {
-		return err
-	}
-	d := lg.Dict()
-	n := kg.ID(d.Len())
-	if t.S >= n || t.P >= n || t.O >= n {
-		return fmt.Errorf("specqp: update references unknown term ID (dictionary holds %d terms)", n)
-	}
-	s, p, o := d.Decode(t.S), d.Decode(t.P), d.Decode(t.O)
-
-	w.mu.Lock()
-	wait1, err := w.log.AppendAsync(wal.Record{Kind: wal.KindTombstone, S: s, P: p, O: o})
-	if err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	wait2, err := w.log.AppendAsync(wal.Record{Kind: wal.KindInsert, S: s, P: p, O: o, Score: t.Score})
-	if err != nil {
-		// The tombstone is reserved but the insert is not: the log is wedged
-		// (sticky error), no further append can interleave, and the update is
-		// not applied nor acked.
-		w.mu.Unlock()
-		return err
-	}
-	compact, aerr := lg.UpdateDeferred(t)
-	w.mu.Unlock()
-	if aerr != nil {
-		panic(fmt.Sprintf("specqp: validated update rejected by store after logging: %v", aerr))
-	}
-	werr := wait1()
-	if werr2 := wait2(); werr == nil {
-		werr = werr2
-	}
-	if compact != nil {
-		compact()
-	}
-	if werr != nil {
-		return werr
-	}
-	w.maybeCheckpoint(lg)
-	return nil
 }
 
 // maybeCheckpoint starts a background checkpoint once the threshold's worth

@@ -570,10 +570,11 @@ func TestRecoveryRecheckpointsReplayedTail(t *testing.T) {
 	assertOracleEqual(t, "post-double-crash", final, flatOracle(t, dict, triples, len(triples), rules), queries)
 }
 
-// recOp is one WAL record in the mutation crash harness's model: the op log
-// at record granularity, so a crash landing between an update's tombstone
-// and its insert is just a prefix cut (the torn update recovers as a bare
-// delete — acceptable, the caller was never acked).
+// recOp is one step of the mutation crash harness's survivor model: an
+// insert or a retraction, with an update modelled as its retraction followed
+// by its insert. An update logs as one record, so no crash recovers the
+// prefix that splits the pair — the model's prefix scan simply never matches
+// it.
 type recOp struct {
 	del     bool
 	s, p, o string
@@ -873,5 +874,97 @@ func TestCheckpointRefusedAfterCloseAndWedge(t *testing.T) {
 	}
 	if err := eng2.Checkpoint(); err == nil {
 		t.Fatal("checkpoint on wedged engine succeeded")
+	}
+}
+
+// TestRecoveryReplaysLegacyUpdatePair: logs written before KindUpdate existed
+// carry an update as a tombstone record followed by an insert record. Such a
+// log must still recover, at every shard count, to exactly the survivors the
+// one-record update recovers to — and keep the operation count in lockstep
+// with the sequence numbers, so a mutation and a checkpoint after recovery
+// land where they belong.
+func TestRecoveryReplaysLegacyUpdatePair(t *testing.T) {
+	seed := func() *Store {
+		st := NewStore()
+		for i, o := range []string{"singer", "guitarist", "painter"} {
+			if err := st.AddSPO("bowie", "rdf:type", o, float64(90+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+	opts := Options{SyncPolicy: SyncAlways, CheckpointBytes: -1}
+	// The current format: the engine logs the update as one record.
+	cur := wal.NewMemFS()
+	eng, err := openDurableFS(cur, seed(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.UpdateSPO("bowie", "rdf:type", "singer", 97); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.InsertSPO("prince", "rdf:type", "guitarist", 99); err != nil {
+		t.Fatal(err)
+	}
+	want := liveSequence(t, eng.Graph())
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The legacy format: the same two mutations hand-written as three records.
+	legacy := wal.NewMemFS()
+	eng, err = openDurableFS(legacy, seed(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, _, err := wal.Open(legacy, wal.Options{Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []wal.Record{
+		{Kind: wal.KindTombstone, S: "bowie", P: "rdf:type", O: "singer"},
+		{Kind: wal.KindInsert, S: "bowie", P: "rdf:type", O: "singer", Score: 97},
+		{Kind: wal.KindInsert, S: "prince", P: "rdf:type", O: "guitarist", Score: 99},
+	} {
+		if err := log.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	all := func(_ string, pending int) int { return pending }
+	for _, shards := range durableShardCounts {
+		for name, fs := range map[string]*wal.MemFS{"current": cur, "legacy": legacy} {
+			label := fmt.Sprintf("%s log, shards %d", name, shards)
+			dir := fs.Crash(all)
+			reng, err := openDurableFS(dir, nil, nil, Options{Shards: shards, SyncPolicy: SyncAlways})
+			if err != nil {
+				t.Fatalf("%s: recovery failed: %v", label, err)
+			}
+			if got := liveSequence(t, reng.Graph()); !sameRecOps(got, want) {
+				t.Fatalf("%s: recovered %v, want %v", label, got, want)
+			}
+			// Past recovery the positions must still line up: one more update,
+			// a clean close and a second recovery reproduce the live state.
+			if err := reng.UpdateSPO("bowie", "rdf:type", "painter", 50); err != nil {
+				t.Fatal(err)
+			}
+			live := liveSequence(t, reng.Graph())
+			if err := reng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := openDurableFS(dir, nil, nil, Options{Shards: shards})
+			if err != nil {
+				t.Fatalf("%s: second recovery failed: %v", label, err)
+			}
+			if got := liveSequence(t, again.Graph()); !sameRecOps(got, live) {
+				t.Fatalf("%s: second recovery got %v, want %v", label, got, live)
+			}
+			again.Close()
+		}
 	}
 }

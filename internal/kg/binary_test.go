@@ -208,13 +208,13 @@ func TestSnapshotSkipsRetractedFacts(t *testing.T) {
 			freezeLive(g)
 			g.SetHeadLimit(-1)
 			for i, tr := range triples[50:] {
-				if err := g.Insert(tr); err != nil {
+				if err := liveInsert(g, tr); err != nil {
 					t.Fatal(err)
 				}
 				model.insert(tr)
 				if i%3 == 0 { // delete a frozen-era key
 					victim := triples[i%50]
-					if _, err := g.Delete(victim.S, victim.P, victim.O); err != nil {
+					if _, err := liveDelete(g, victim.S, victim.P, victim.O); err != nil {
 						t.Fatal(err)
 					}
 					model.delete(victim.S, victim.P, victim.O)
@@ -222,7 +222,7 @@ func TestSnapshotSkipsRetractedFacts(t *testing.T) {
 				if i%7 == 0 { // latest-wins re-score
 					up := triples[(i*3)%len(triples)]
 					up.Score = float64(60 + i)
-					if err := g.Update(up); err != nil {
+					if err := liveUpdate(g, up); err != nil {
 						t.Fatal(err)
 					}
 					model.update(up)
@@ -310,7 +310,7 @@ func TestBinaryRoundTripLiveHeads(t *testing.T) {
 		}
 		ss.Freeze()
 		for _, tr := range triples[80:] {
-			if err := ss.Insert(tr); err != nil {
+			if err := liveInsert(ss, tr); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -109,7 +109,7 @@ func FuzzLiveStore(f *testing.F) {
 					O:     ID(b[2] / 3 % 8),
 					Score: float64(b[0]),
 				}
-				if err := ss.Insert(tr); err != nil {
+				if err := liveInsert(ss, tr); err != nil {
 					t.Fatalf("insert %v: %v", tr, err)
 				}
 				log = append(log, tr)
@@ -197,14 +197,14 @@ func FuzzMutableStore(f *testing.F) {
 			case op <= 8:
 				s, p, o := key()
 				tr := Triple{S: s, P: p, O: o, Score: float64(b[0])}
-				if err := ss.Insert(tr); err != nil {
+				if err := liveInsert(ss, tr); err != nil {
 					t.Fatalf("insert %v: %v", tr, err)
 				}
 				model.insert(tr)
 				ops++
 			case op <= 10:
 				s, p, o := key()
-				removed, err := ss.Delete(s, p, o)
+				removed, err := liveDelete(ss, s, p, o)
 				if err != nil {
 					t.Fatalf("delete: %v", err)
 				}
@@ -215,7 +215,7 @@ func FuzzMutableStore(f *testing.F) {
 			case op == 11:
 				s, p, o := key()
 				tr := Triple{S: s, P: p, O: o, Score: float64(b[0])}
-				if err := ss.Update(tr); err != nil {
+				if err := liveUpdate(ss, tr); err != nil {
 					t.Fatalf("update %v: %v", tr, err)
 				}
 				model.update(tr)

@@ -1,6 +1,10 @@
 package kg
 
-import "sort"
+import (
+	"errors"
+	"fmt"
+	"sort"
+)
 
 // Graph is the read interface of a frozen triple store: the primitives the
 // planner, the statistics catalog, the relaxation miners and the physical
@@ -36,9 +40,9 @@ type Graph interface {
 	// HasDuplicates reports whether any (s,p,o) key was added more than once.
 	HasDuplicates() bool
 	// Version reports the logical content version: 0 for a store frozen once
-	// and never mutated, incremented by every live Insert. Compaction leaves
-	// it unchanged (the visible triple set is identical). Caches keyed on
-	// patterns or queries must be discarded when it moves.
+	// and never mutated, incremented by every applied Mutation. Compaction
+	// leaves it unchanged (the visible triple set is identical). Caches keyed
+	// on patterns or queries must be discarded when it moves.
 	Version() uint64
 	// Pin returns an immutable read view of the store's current contents: an
 	// exact insertion-order prefix frozen at the moment of the call. Every
@@ -68,6 +72,49 @@ type ShardedGraph interface {
 	GlobalIndexes(i int) []int32
 }
 
+// Op names what a Mutation does to its (s,p,o) key.
+type Op uint8
+
+// The three mutation kinds. Their values are the WAL record kinds that log
+// them (the durability layer asserts this at compile time), so a record
+// converts to the mutation it logged by value.
+const (
+	// OpInsert appends one copy of the triple.
+	OpInsert Op = iota + 1
+	// OpDelete retracts every live copy of the key; the score is ignored.
+	OpDelete
+	// OpUpdate re-scores the key latest-wins: every live copy is retracted
+	// and one copy with the triple's score takes their place. Updating an
+	// absent key inserts it.
+	OpUpdate
+)
+
+// Mutation is one write to a live store: the unit a store applies, publishes
+// as one snapshot, counts as one operation and moves the version by one — and
+// the unit the durability layer logs as one WAL record.
+type Mutation struct {
+	Op     Op
+	Triple Triple
+}
+
+// ErrInvalidScore is the sentinel every rejected triple score matches
+// (errors.Is): scores must be finite and non-negative.
+var ErrInvalidScore = errors.New("kg: invalid triple score")
+
+// Validate reports whether a store would accept m: a known Op and, unless m
+// deletes, a storable score (an error matching ErrInvalidScore otherwise).
+// The durability layer validates before logging, so no record is ever
+// written for a mutation the store would then reject.
+func (m Mutation) Validate() error {
+	if m.Op < OpInsert || m.Op > OpUpdate {
+		return fmt.Errorf("kg: unknown mutation op %d", m.Op)
+	}
+	if m.Op == OpDelete {
+		return nil
+	}
+	return validScore(m.Triple.Score)
+}
+
 // LiveGraph is the mutable extension of Graph: stores that accept inserts,
 // deletes and updates after Freeze through a per-segment mutable head
 // (retractions as per-key tombstones), merged into the frozen arenas on
@@ -75,22 +122,15 @@ type ShardedGraph interface {
 // segment, compacted independently).
 type LiveGraph interface {
 	Graph
-	// Insert appends a triple live; it is immediately visible to readers.
-	Insert(t Triple) error
-	// InsertDeferred is Insert with any triggered automatic compaction
-	// handed back to the caller instead of run inline (nil when none is
-	// due). The durability layer's write-ordering mutex relies on it.
-	InsertDeferred(t Triple) (compact func(), err error)
-	// Delete retracts every live copy of the (s,p,o) key and returns how
-	// many were removed; the retraction is immediately visible to readers.
-	Delete(s, p, o ID) (int, error)
-	// Update re-scores the (s,p,o) key latest-wins: all live copies are
-	// retracted and one copy with t.Score inserted, atomically. Updating an
-	// absent key inserts it.
-	Update(t Triple) error
-	// UpdateDeferred is Update with any triggered automatic compaction
-	// handed back (see InsertDeferred).
-	UpdateDeferred(t Triple) (compact func(), err error)
+	// Apply applies one mutation and publishes it atomically: a reader sees
+	// the store before m or after it, never half of an update. It returns
+	// how many live copies m retracted (deletes and updates) and any
+	// automatic compaction m triggered, handed back to the caller instead of
+	// run inline (nil when none is due) — the durability layer runs it
+	// outside its write-ordering mutex; everyone else calls it at once.
+	// Before Freeze only OpInsert is accepted (it stages like Add); deletes
+	// and updates return ErrNotLive.
+	Apply(m Mutation) (removed int, compact func(), err error)
 	// Compact merges every pending head (and L1 tier) into its frozen
 	// segment, annihilating covered tombstones. Readers are never blocked
 	// and answers are identical before and after.
@@ -110,8 +150,8 @@ type LiveGraph interface {
 	// retraction keys; a full Compact drives it to zero.
 	Tombstones() int
 	// Ops reports applied mutation operations: the triple count at Freeze
-	// plus one per Insert/Delete and two per Update. The durability layer's
-	// store-side mirror of the WAL sequence.
+	// plus one per applied Mutation — one per WAL record. The durability
+	// layer's store-side mirror of the WAL sequence.
 	Ops() uint64
 	// Compactions reports how many head merges have been performed.
 	Compactions() uint64

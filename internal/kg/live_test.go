@@ -159,7 +159,7 @@ func TestLiveShardedMatchesRebuild(t *testing.T) {
 		ss.SetHeadLimit(-1)
 		rng := rand.New(rand.NewSource(400 + int64(shards)))
 		for pos := base; pos < len(triples); pos++ {
-			if err := ss.Insert(triples[pos]); err != nil {
+			if err := liveInsert(ss, triples[pos]); err != nil {
 				t.Fatal(err)
 			}
 			switch rng.Intn(8) {
@@ -205,7 +205,7 @@ func TestAutoCompaction(t *testing.T) {
 	ss.Freeze()
 	ss.SetHeadLimit(5)
 	for _, tr := range triples {
-		if err := ss.Insert(tr); err != nil {
+		if err := liveInsert(ss, tr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +231,7 @@ func TestCompactShardLeavesOthersUntouched(t *testing.T) {
 	ss.Freeze()
 	ss.SetHeadLimit(-1)
 	for _, tr := range triples {
-		if err := ss.Insert(tr); err != nil {
+		if err := liveInsert(ss, tr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +280,7 @@ func TestLiveVersionSemantics(t *testing.T) {
 			t.Fatalf("%T: fresh frozen store at version %d", g, g.Version())
 		}
 		for i, tr := range triples {
-			if err := g.Insert(tr); err != nil {
+			if err := liveInsert(g, tr); err != nil {
 				t.Fatal(err)
 			}
 			if got := g.Version(); got != uint64(i+1) {
@@ -352,7 +352,7 @@ func TestLiveMatchListAllocsAfterCompact(t *testing.T) {
 	ss := NewShardedStore(dict, 4)
 	ss.Freeze()
 	for _, tr := range triples {
-		if err := ss.Insert(tr); err != nil {
+		if err := liveInsert(ss, tr); err != nil {
 			t.Fatal(err)
 		}
 	}

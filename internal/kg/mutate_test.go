@@ -14,6 +14,31 @@ import (
 // point, for both layouts, every shard count, and with and without the L1
 // compaction tier. Scores compare with exact float equality throughout.
 
+// liveInsert, liveDelete and liveUpdate apply one mutation through
+// LiveGraph.Apply and run any compaction it hands back inline, as a caller
+// with no write-ordering lock of its own does.
+func liveInsert(g LiveGraph, t Triple) error {
+	_, err := applyNow(g, Mutation{Op: OpInsert, Triple: t})
+	return err
+}
+
+func liveDelete(g LiveGraph, s, p, o ID) (int, error) {
+	return applyNow(g, Mutation{Op: OpDelete, Triple: Triple{S: s, P: p, O: o}})
+}
+
+func liveUpdate(g LiveGraph, t Triple) error {
+	_, err := applyNow(g, Mutation{Op: OpUpdate, Triple: t})
+	return err
+}
+
+func applyNow(g LiveGraph, m Mutation) (int, error) {
+	removed, compact, err := g.Apply(m)
+	if compact != nil {
+		compact()
+	}
+	return removed, err
+}
+
 // mutModel replays the mutation semantics the store promises: Insert
 // appends, Delete retracts every live copy of the key, Update retracts the
 // key and appends one copy with the new score. The survivor slice is the
@@ -151,14 +176,14 @@ func driveMutations(t *testing.T, label string, seed int64, g LiveGraph, dict *D
 	for pos < len(stream) || rng.Intn(4) != 0 {
 		switch op := rng.Intn(20); {
 		case op < 9 && pos < len(stream): // insert
-			if err := g.Insert(stream[pos]); err != nil {
+			if err := liveInsert(g, stream[pos]); err != nil {
 				t.Fatal(err)
 			}
 			model.insert(stream[pos])
 			pos++
 		case op < 13: // delete (usually a live key, sometimes a miss)
 			s, p, o := randomKey()
-			got, err := g.Delete(s, p, o)
+			got, err := liveDelete(g, s, p, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +193,7 @@ func driveMutations(t *testing.T, label string, seed int64, g LiveGraph, dict *D
 		case op < 16: // latest-wins update
 			s, p, o := randomKey()
 			tr := Triple{S: s, P: p, O: o, Score: float64(rng.Intn(50))}
-			if err := g.Update(tr); err != nil {
+			if err := liveUpdate(g, tr); err != nil {
 				t.Fatal(err)
 			}
 			model.update(tr)
@@ -259,7 +284,7 @@ func TestDeleteSemantics(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		label := fmt.Sprintf("shards=%d", shards)
 		g := build(shards)
-		if _, err := g.Delete(0, 1, 2); err == nil {
+		if _, err := liveDelete(g, 0, 1, 2); err == nil {
 			t.Fatalf("%s: Delete on an unfrozen store succeeded", label)
 		}
 		key := Triple{S: 1, P: 2, O: 3, Score: 10}
@@ -287,17 +312,17 @@ func TestDeleteSemantics(t *testing.T) {
 		// copies alike.
 		head := key
 		head.Score = 2
-		if err := g.Insert(head); err != nil {
+		if err := liveInsert(g, head); err != nil {
 			t.Fatal(err)
 		}
 		v := g.Version()
-		if n, err := g.Delete(9, 9, 9); err != nil || n != 0 {
+		if n, err := liveDelete(g, 9, 9, 9); err != nil || n != 0 {
 			t.Fatalf("%s: deleting an absent key: (%d, %v)", label, n, err)
 		}
 		if g.Version() == v {
 			t.Fatalf("%s: no-op delete did not move the version", label)
 		}
-		if n, err := g.Delete(key.S, key.P, key.O); err != nil || n != 3 {
+		if n, err := liveDelete(g, key.S, key.P, key.O); err != nil || n != 3 {
 			t.Fatalf("%s: deleting 3 copies: (%d, %v)", label, n, err)
 		}
 		p := NewPattern(Const(key.S), Const(key.P), Const(key.O))
@@ -311,7 +336,7 @@ func TestDeleteSemantics(t *testing.T) {
 		// survive compaction.
 		re := key
 		re.Score = 99
-		if err := g.Insert(re); err != nil {
+		if err := liveInsert(g, re); err != nil {
 			t.Fatal(err)
 		}
 		for _, stage := range []string{"head", "compacted"} {
@@ -344,14 +369,14 @@ func TestUpdateSemantics(t *testing.T) {
 		} else {
 			g = NewStore(dict)
 		}
-		if err := g.Update(Triple{S: 0, P: 1, O: 2, Score: 5}); err == nil {
+		if err := liveUpdate(g, Triple{S: 0, P: 1, O: 2, Score: 5}); err == nil {
 			t.Fatalf("%s: Update on an unfrozen store succeeded", label)
 		}
 		freezeLive(g)
 		g.SetHeadLimit(-1)
 		key := Triple{S: 1, P: 2, O: 3, Score: 10}
 		// Update of an absent key inserts it.
-		if err := g.Update(key); err != nil {
+		if err := liveUpdate(g, key); err != nil {
 			t.Fatal(err)
 		}
 		p := NewPattern(Const(key.S), Const(key.P), Const(key.O))
@@ -361,12 +386,12 @@ func TestUpdateSemantics(t *testing.T) {
 		// Duplicate copies collapse to one on the next update.
 		dup := key
 		dup.Score = 3
-		if err := g.Insert(dup); err != nil {
+		if err := liveInsert(g, dup); err != nil {
 			t.Fatal(err)
 		}
 		up := key
 		up.Score = 42
-		if err := g.Update(up); err != nil {
+		if err := liveUpdate(g, up); err != nil {
 			t.Fatal(err)
 		}
 		for _, stage := range []string{"head", "compacted"} {
@@ -464,17 +489,17 @@ func TestMutatedMatchListAllocsAfterCompact(t *testing.T) {
 		freezeLive(g)
 		g.SetHeadLimit(-1)
 		for _, tr := range triples[150:] {
-			if err := g.Insert(tr); err != nil {
+			if err := liveInsert(g, tr); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 20; i++ {
 			tr := triples[i*7]
-			if _, err := g.Delete(tr.S, tr.P, tr.O); err != nil {
+			if _, err := liveDelete(g, tr.S, tr.P, tr.O); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := g.Update(Triple{S: 1, P: 1, O: 1, Score: 30}); err != nil {
+		if err := liveUpdate(g, Triple{S: 1, P: 1, O: 1, Score: 30}); err != nil {
 			t.Fatal(err)
 		}
 		g.Compact()

@@ -192,7 +192,7 @@ func TestPinSurvivesLaterInserts(t *testing.T) {
 		// Insert matches with a dominating score: an unpinned view would see
 		// both a larger cardinality and a new normalisation constant.
 		for i := 0; i < 30; i++ {
-			if err := g.Insert(Triple{S: ID(i % 5), P: 5, O: 8, Score: 1000}); err != nil {
+			if err := liveInsert(g, Triple{S: ID(i % 5), P: 5, O: 8, Score: 1000}); err != nil {
 				t.Fatal(err)
 			}
 		}

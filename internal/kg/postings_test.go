@@ -301,7 +301,7 @@ func TestLayoutDeterministic(t *testing.T) {
 			case 1:
 				_, err = st.Delete(tr.S, tr.P, tr.O)
 			default:
-				err = st.Update(tr)
+				err = liveUpdate(st, tr)
 			}
 			if err != nil {
 				t.Fatal(err)

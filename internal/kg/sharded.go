@@ -52,7 +52,7 @@ type ShardedStore struct {
 	global   [][]int32
 
 	// ops mirrors Store.ops across the whole sharded store: the global
-	// triple count at Freeze, +1 per Insert or Delete, +2 per Update.
+	// triple count at Freeze, +1 per applied Mutation.
 	// Mutator-side (guarded by mu); readers see the dir snapshot's copy.
 	ops uint64
 
@@ -259,146 +259,46 @@ func (ss *ShardedStore) AddSPO(s, p, o string, score float64) error {
 	})
 }
 
-// Insert appends a scored triple live: the triple lands in its subject
-// shard's mutable head (possibly triggering that shard's automatic
-// compaction) and the directory snapshot is republished. The shard is
-// always updated before the directory, so every directory entry has its
-// triple present; safe for concurrent use with readers and other inserters.
-// Before Freeze it behaves like Add.
+// Apply routes one mutation to its subject's shard — every copy of a key
+// shares a shard — and republishes the directory snapshot (see
+// LiveGraph.Apply). The shard publishes first and the directory after, under
+// the directory lock, so every directory entry has its triple present and a
+// view pinned before Apply returns sees none of m, one pinned after sees all
+// of it. Before Freeze an insert stages like Add.
 //
-// An automatic compaction runs after the directory lock is released, and
-// the posting rebuild itself runs outside the shard lock too (triples
-// inserted meanwhile are folded back into the head at publish): neither
-// readers nor writers — of this shard or any other — wait for a merge.
-func (ss *ShardedStore) Insert(t Triple) error {
-	compact, err := ss.InsertDeferred(t)
-	if compact != nil {
-		compact()
+// An automatic compaction is handed back, not run: its caller runs it after
+// the directory lock is released, and the posting rebuild itself runs
+// outside the shard lock too (triples inserted meanwhile are folded back into
+// the head at publish), so neither readers nor writers — of this shard or
+// any other — wait for a merge.
+func (ss *ShardedStore) Apply(m Mutation) (removed int, compact func(), err error) {
+	if err := m.Validate(); err != nil {
+		return 0, nil, err
 	}
-	return err
-}
-
-// InsertDeferred is Insert with any triggered automatic compaction split out
-// (see Store.InsertDeferred).
-func (ss *ShardedStore) InsertDeferred(t Triple) (compact func(), err error) {
-	ss.mu.Lock()
-	if !ss.frozen {
-		err := ss.Add(t)
-		ss.mu.Unlock()
-		return nil, err
-	}
-	si := ss.shardFor(t.S)
-	sh := ss.shards[si]
-	need, err := sh.insert(t)
-	if err != nil {
-		ss.mu.Unlock()
-		return nil, err
-	}
-	ss.appendDir(si, sh.Len()-1)
-	ss.ops++
-	ss.publishDir()
-	ss.version.Add(1)
-	ss.mu.Unlock()
-	if need {
-		return func() { sh.compactIfNeeded(); ss.refreshDir() }, nil
-	}
-	return nil, nil
-}
-
-// Delete retracts every live copy of the (s,p,o) key from its subject's
-// shard (all copies of one key share a shard) and returns how many were
-// removed. The retraction — tombstone, version bump and directory snapshot —
-// publishes atomically with respect to pins: a view pinned before Delete
-// returns sees every copy, one pinned after sees none. Returns ErrNotLive
-// before Freeze.
-func (ss *ShardedStore) Delete(s, p, o ID) (int, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if !ss.frozen {
-		return 0, ErrNotLive
+		if m.Op != OpInsert {
+			return 0, nil, ErrNotLive
+		}
+		return 0, nil, ss.Add(m.Triple)
 	}
-	removed, err := ss.shards[ss.shardFor(s)].Delete(s, p, o)
+	si := ss.shardFor(m.Triple.S)
+	sh := ss.shards[si]
+	removed, need, err := sh.apply(m)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
+	}
+	if m.Op != OpDelete {
+		ss.appendDir(si, sh.Len()-1)
 	}
 	ss.ops++
 	ss.publishDir()
 	ss.version.Add(1)
-	return removed, nil
-}
-
-// DeleteSPO retracts every live copy of the key named by the three terms;
-// unknown terms return (0, nil) without interning.
-func (ss *ShardedStore) DeleteSPO(s, p, o string) (int, error) {
-	sid, ok := ss.dict.Lookup(s)
-	if !ok {
-		return 0, nil
-	}
-	pid, ok := ss.dict.Lookup(p)
-	if !ok {
-		return 0, nil
-	}
-	oid, ok := ss.dict.Lookup(o)
-	if !ok {
-		return 0, nil
-	}
-	return ss.Delete(sid, pid, oid)
-}
-
-// Update re-scores the (s,p,o) key latest-wins in its subject's shard (see
-// Store.Update for the atomicity contract).
-func (ss *ShardedStore) Update(t Triple) error {
-	compact, err := ss.UpdateDeferred(t)
-	if compact != nil {
-		compact()
-	}
-	return err
-}
-
-// UpdateDeferred is Update with any triggered automatic compaction split out
-// (see Store.InsertDeferred).
-func (ss *ShardedStore) UpdateDeferred(t Triple) (compact func(), err error) {
-	ss.mu.Lock()
-	if !ss.frozen {
-		ss.mu.Unlock()
-		return nil, ErrNotLive
-	}
-	si := ss.shardFor(t.S)
-	sh := ss.shards[si]
-	need, err := sh.update(t)
-	if err != nil {
-		ss.mu.Unlock()
-		return nil, err
-	}
-	ss.appendDir(si, sh.Len()-1)
-	ss.ops += 2
-	ss.publishDir()
-	ss.version.Add(1)
-	ss.mu.Unlock()
 	if need {
-		return func() { sh.compactIfNeeded(); ss.refreshDir() }, nil
+		return removed, func() { sh.compactIfNeeded(); ss.refreshDir() }, nil
 	}
-	return nil, nil
-}
-
-// UpdateSPO encodes the three terms and applies a latest-wins re-score.
-func (ss *ShardedStore) UpdateSPO(s, p, o string, score float64) error {
-	return ss.Update(Triple{
-		S:     ss.dict.Encode(s),
-		P:     ss.dict.Encode(p),
-		O:     ss.dict.Encode(o),
-		Score: score,
-	})
-}
-
-// InsertSPO encodes the three terms and inserts the triple live.
-func (ss *ShardedStore) InsertSPO(s, p, o string, score float64) error {
-	return ss.Insert(Triple{
-		S:     ss.dict.Encode(s),
-		P:     ss.dict.Encode(p),
-		O:     ss.dict.Encode(o),
-		Score: score,
-	})
+	return removed, nil, nil
 }
 
 // Freeze freezes every shard concurrently and publishes the read-side

@@ -129,11 +129,10 @@ type storeState struct {
 	// snapshot publishes.
 	tombs map[[3]ID]int32
 	// ops counts applied mutation operations: Freeze sets it to the triple
-	// count, then Insert and Delete add one and Update adds two (it logs as
-	// a tombstone plus an insert). The durability layer maps WAL sequence
-	// numbers onto it — with deletes in the mix the triple count no longer
-	// measures log position, since a tombstone consumes a sequence number
-	// without adding a triple.
+	// count, then every applied Mutation adds one (it logs as one WAL
+	// record). The durability layer maps WAL sequence numbers onto it — with
+	// deletes in the mix the triple count no longer measures log position,
+	// since a tombstone consumes a sequence number without adding a triple.
 	ops uint64
 	// dead counts retracted triples still occupying physical slots in
 	// triples; len(triples)-dead is the live triple count.
@@ -252,16 +251,10 @@ var ErrFrozen = errors.New("kg: store is frozen")
 // binary snapshot format).
 func validScore(score float64) error {
 	if score < 0 || math.IsNaN(score) || math.IsInf(score, 0) {
-		return fmt.Errorf("kg: invalid triple score %v", score)
+		return fmt.Errorf("%w %v", ErrInvalidScore, score)
 	}
 	return nil
 }
-
-// ValidateScore reports whether a triple score is storable: finite and
-// non-negative, the same check Add and Insert apply. The durability layer
-// validates before logging so a record can never be written for a triple the
-// store would then reject.
-func ValidateScore(score float64) error { return validScore(score) }
 
 // Add appends a scored triple to an unfrozen store. Scores must be finite
 // and non-negative; zero-scored triples are legal but never contribute to
@@ -366,9 +359,9 @@ func (st *Store) Tombstones() int {
 }
 
 // Ops reports the number of applied mutation operations: the triple count at
-// Freeze, plus one per Insert or Delete and two per Update since. The
-// durability layer uses it as the store-side mirror of the WAL sequence —
-// unlike Len it keeps counting when a delete retracts without appending.
+// Freeze, plus one per applied Mutation since. The durability layer uses it
+// as the store-side mirror of the WAL sequence — unlike Len it keeps
+// counting when a delete retracts without appending.
 func (st *Store) Ops() uint64 {
 	if s := st.live.Load(); s != nil {
 		return s.ops
@@ -396,7 +389,7 @@ func (st *Store) HeadLen() int {
 }
 
 // Version reports the store's logical content version: 0 until the first
-// live mutation, +1 per Insert, Delete or Update. Compaction does not move
+// live mutation, +1 per applied Mutation. Compaction does not move
 // it — the visible triple set is unchanged — so version-keyed caches survive
 // merges; any mutation (deletes included) moves it, so no cache can serve a
 // retracted fact.
@@ -405,142 +398,110 @@ func (st *Store) Version() uint64 { return st.version.Load() }
 // Compactions reports how many head merges the store has performed.
 func (st *Store) Compactions() uint64 { return st.compactions.Load() }
 
-// Insert appends a scored triple to a live (frozen) store: the triple lands
-// in the mutable head overlay, immediately visible to every subsequent read,
-// and is merged into the frozen posting arenas when the head crosses the
-// configured limit or Compact is called. Insert is safe for concurrent use
-// with readers and other inserters. Before Freeze it behaves like Add.
+// ErrNotLive is returned by deletes and updates before Freeze: retractions
+// and re-scores are live operations over an indexed store (pre-freeze
+// staging is append-only — simply don't Add what you don't want).
+var ErrNotLive = errors.New("kg: store must be frozen before Delete/Update")
+
+// Insert appends a scored triple live — Apply of an OpInsert with any
+// triggered compaction run inline. Before Freeze it behaves like Add.
 func (st *Store) Insert(t Triple) error {
-	compact, err := st.InsertDeferred(t)
+	_, compact, err := st.Apply(Mutation{Op: OpInsert, Triple: t})
 	if compact != nil {
 		compact()
 	}
 	return err
 }
 
-// InsertDeferred is Insert with any triggered automatic compaction split
-// out: the insert itself is published (and visible) when the call returns,
-// and the returned function — nil when no merge is due — runs the
-// compaction. The durability layer uses it to keep posting rebuilds outside
-// the mutex that orders WAL appends against store applies; everyone else
-// should call Insert.
-func (st *Store) InsertDeferred(t Triple) (compact func(), err error) {
-	need, err := st.insert(t)
-	if err == nil && need {
-		return st.compactIfNeeded, nil
-	}
-	return nil, err
+// Delete retracts every live copy of the (s,p,o) key — Apply of an
+// OpDelete — and returns how many were removed.
+func (st *Store) Delete(s, p, o ID) (int, error) {
+	removed, _, err := st.Apply(Mutation{Op: OpDelete, Triple: Triple{S: s, P: p, O: o}})
+	return removed, err
 }
 
-// insert publishes the head-extended snapshot and reports whether the head
-// crossed the automatic-compaction limit. The merge itself is left to the
-// caller so ShardedStore can run it outside its directory lock — a shard
-// compacting must not stall inserts routed to other shards.
-func (st *Store) insert(t Triple) (needCompact bool, err error) {
-	if err := validScore(t.Score); err != nil {
-		return false, err
+// Apply applies one mutation to the store (see LiveGraph.Apply). Inserted
+// triples land in the mutable head overlay, immediately visible to every
+// subsequent read, and are merged into the frozen posting arenas when the
+// head crosses the configured limit or Compact is called. Retracted copies
+// leave the head physically; frozen (and L1) copies are masked by a
+// tombstone that the next merge covering them annihilates into the arena
+// rebuild, so a compacted segment never contains a retracted fact. The
+// tombstone's watermark orders before any copy inserted later — an update's
+// own fresh copy included. Deleting a key with no live copies is a no-op
+// that still counts as one operation. Safe for concurrent use with readers
+// and other mutators.
+func (st *Store) Apply(m Mutation) (removed int, compact func(), err error) {
+	if err := m.Validate(); err != nil {
+		return 0, nil, err
 	}
+	removed, need, err := st.apply(m)
+	if err == nil && need {
+		return removed, st.compactIfNeeded, nil
+	}
+	return removed, nil, err
+}
+
+// apply publishes a validated mutation as one snapshot — the key's head
+// copies dropped, a tombstone over its frozen copies, the new copy spliced
+// into the head, one operation and one version move — and reports whether
+// the head crossed the automatic-compaction limit. The merge itself is left
+// to the caller so ShardedStore can run it outside its directory lock: a
+// shard compacting must not stall mutations routed to other shards.
+func (st *Store) apply(m Mutation) (removed int, needCompact bool, err error) {
+	t := m.Triple
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if !st.frozen {
+		if m.Op != OpInsert {
+			return 0, false, ErrNotLive
+		}
 		st.triples = append(st.triples, t)
-		return false, nil
+		return 0, false, nil
 	}
 	s := st.live.Load()
-	idx := int32(len(s.triples))
-	// Appending may share the backing array with older snapshots; that is
-	// safe because the new slot lies beyond every published snapshot's
-	// length and the publish below is an atomic release.
-	triples := append(s.triples, t)
-
-	// Insert the new index into the head overlay at its canonical position:
-	// after every head triple with a strictly greater score (equal scores
-	// order by index, and the new index is the largest so far).
-	pos := sort.Search(len(s.headSorted), func(i int) bool {
-		return s.triples[s.headSorted[i]].Score < t.Score
-	})
-	head := make([]int32, 0, len(s.headSorted)+1)
-	head = append(head, s.headSorted[:pos]...)
-	head = append(head, idx)
-	head = append(head, s.headSorted[pos:]...)
-
 	k := [3]ID{t.S, t.P, t.O}
-	dup := s.headDup || s.frozenHas(k) || countKey(s, s.headSorted, k) > 0
-
 	ns := &storeState{
-		triples: triples, post: s.post, l1: s.l1, headSorted: head,
+		triples: s.triples, post: s.post, l1: s.l1, headSorted: s.headSorted,
 		tombs: s.tombs, ops: s.ops + 1, dead: s.dead,
-		headDup: dup, crossDup: s.crossDup,
+		headDup: s.headDup, crossDup: s.crossDup,
+	}
+	if m.Op != OpInsert {
+		removed = s.liveKeyCount(k)
+		if dropped := countKey(s, s.headSorted, k); dropped > 0 {
+			ns.headSorted = dropHeadKey(s, k, dropped)
+			removed += dropped
+		}
+		if removed > 0 {
+			ns.tombs = withTombstone(s.tombs, k, int32(len(s.triples)))
+			ns.dead += removed
+		}
+	}
+	if m.Op != OpDelete {
+		if m.Op == OpInsert {
+			ns.headDup = s.headDup || s.frozenHas(k) || countKey(s, s.headSorted, k) > 0
+		}
+		// Appending may share the backing array with older snapshots; that
+		// is safe because the new slot lies beyond every published
+		// snapshot's length and the publish below is an atomic release.
+		idx := int32(len(s.triples))
+		ns.triples = append(s.triples, t)
+		// The new index goes in at its canonical head position: after every
+		// head triple with a strictly greater score (equal scores order by
+		// index, and the new index is the largest so far).
+		head := ns.headSorted
+		pos := sort.Search(len(head), func(i int) bool {
+			return s.triples[head[i]].Score < t.Score
+		})
+		ns.headSorted = make([]int32, 0, len(head)+1)
+		ns.headSorted = append(ns.headSorted, head[:pos]...)
+		ns.headSorted = append(ns.headSorted, idx)
+		ns.headSorted = append(ns.headSorted, head[pos:]...)
 	}
 	st.live.Store(ns)
 	st.version.Add(1)
 	limit := st.effectiveHeadLimit()
-	return limit > 0 && len(head) >= limit, nil
-}
-
-// ErrNotLive is returned by Delete and Update before Freeze: retractions and
-// re-scores are live operations over an indexed store (pre-freeze staging is
-// append-only — simply don't Add what you don't want).
-var ErrNotLive = errors.New("kg: store must be frozen before Delete/Update")
-
-// Delete retracts every live copy of the (s,p,o) key — frozen, L1 and head —
-// and returns how many were removed. The retraction is visible to every
-// subsequent read the moment Delete returns: head copies leave the overlay
-// physically, frozen copies are masked by a tombstone that the next merge
-// covering them annihilates into the arena rebuild, so a compacted segment
-// never contains a retracted fact. A later Insert of the same key is
-// unaffected (the tombstone's watermark orders before it). Deleting a key
-// with no live copies is a no-op that still counts as one operation. Safe
-// for concurrent use with readers and other mutators; returns ErrNotLive
-// before Freeze.
-func (st *Store) Delete(s, p, o ID) (int, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.deleteLocked([3]ID{s, p, o})
-}
-
-// deleteLocked applies a delete under st.mu.
-func (st *Store) deleteLocked(k [3]ID) (int, error) {
-	if !st.frozen {
-		return 0, ErrNotLive
-	}
-	s := st.live.Load()
-	removed := s.liveKeyCount(k)
-	head := s.headSorted
-	if dropped := countKey(s, s.headSorted, k); dropped > 0 {
-		head = dropHeadKey(s, k, dropped)
-		removed += dropped
-	}
-	ns := &storeState{
-		triples: s.triples, post: s.post, l1: s.l1, headSorted: head,
-		tombs: s.tombs, ops: s.ops + 1, dead: s.dead + removed,
-		headDup: s.headDup, crossDup: s.crossDup,
-	}
-	if removed > 0 {
-		ns.tombs = withTombstone(s.tombs, k, int32(len(s.triples)))
-	}
-	st.live.Store(ns)
-	st.version.Add(1)
-	return removed, nil
-}
-
-// DeleteSPO retracts every live copy of the key named by the three terms.
-// Unknown terms mean the key never existed: DeleteSPO returns (0, nil)
-// without interning them (and without consuming an operation).
-func (st *Store) DeleteSPO(s, p, o string) (int, error) {
-	sid, ok := st.dict.Lookup(s)
-	if !ok {
-		return 0, nil
-	}
-	pid, ok := st.dict.Lookup(p)
-	if !ok {
-		return 0, nil
-	}
-	oid, ok := st.dict.Lookup(o)
-	if !ok {
-		return 0, nil
-	}
-	return st.Delete(sid, pid, oid)
+	return removed, m.Op != OpDelete && limit > 0 && len(ns.headSorted) >= limit, nil
 }
 
 // frozenHas reports whether a frozen segment holds a copy of key k.
@@ -586,85 +547,6 @@ func withTombstone(tombs map[[3]ID]int32, k [3]ID, w int32) map[[3]ID]int32 {
 	return out
 }
 
-// Update re-scores the (s,p,o) key, latest-wins: every live copy is
-// retracted and one copy with t.Score is inserted, in a single atomically
-// published snapshot — no read can observe the key half-updated or doubled.
-// It counts as two operations (the WAL logs it as a tombstone plus an
-// insert). Updating an absent key inserts it. Returns ErrNotLive before
-// Freeze.
-func (st *Store) Update(t Triple) error {
-	compact, err := st.UpdateDeferred(t)
-	if compact != nil {
-		compact()
-	}
-	return err
-}
-
-// UpdateDeferred is Update with any triggered automatic compaction split out
-// (see InsertDeferred for why the durability layer needs this).
-func (st *Store) UpdateDeferred(t Triple) (compact func(), err error) {
-	need, err := st.update(t)
-	if err == nil && need {
-		return st.compactIfNeeded, nil
-	}
-	return nil, err
-}
-
-// update applies a latest-wins re-score under st.mu and reports whether the
-// head crossed the automatic-compaction limit.
-func (st *Store) update(t Triple) (needCompact bool, err error) {
-	if err := validScore(t.Score); err != nil {
-		return false, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.frozen {
-		return false, ErrNotLive
-	}
-	s := st.live.Load()
-	k := [3]ID{t.S, t.P, t.O}
-	removed := s.liveKeyCount(k)
-	head := s.headSorted
-	if dropped := countKey(s, s.headSorted, k); dropped > 0 {
-		head = dropHeadKey(s, k, dropped)
-		removed += dropped
-	}
-	idx := int32(len(s.triples))
-	triples := append(s.triples, t)
-	pos := sort.Search(len(head), func(i int) bool {
-		return s.triples[head[i]].Score < t.Score
-	})
-	nh := make([]int32, 0, len(head)+1)
-	nh = append(nh, head[:pos]...)
-	nh = append(nh, idx)
-	nh = append(nh, head[pos:]...)
-
-	ns := &storeState{
-		triples: triples, post: s.post, l1: s.l1, headSorted: nh,
-		tombs: s.tombs, ops: s.ops + 2, dead: s.dead + removed,
-		headDup: s.headDup, crossDup: s.crossDup,
-	}
-	if removed > 0 {
-		// The watermark predates the fresh copy's index, so it retracts
-		// every old copy and leaves the new one live.
-		ns.tombs = withTombstone(s.tombs, k, idx)
-	}
-	st.live.Store(ns)
-	st.version.Add(1)
-	limit := st.effectiveHeadLimit()
-	return limit > 0 && len(nh) >= limit, nil
-}
-
-// UpdateSPO encodes the three terms and applies a latest-wins re-score.
-func (st *Store) UpdateSPO(s, p, o string, score float64) error {
-	return st.Update(Triple{
-		S:     st.dict.Encode(s),
-		P:     st.dict.Encode(p),
-		O:     st.dict.Encode(o),
-		Score: score,
-	})
-}
-
 // compactIfNeeded re-checks the head against the limit and merges if it
 // still qualifies (a concurrent Compact may have emptied it since the
 // triggering insert returned). The compacting flag bounds automatic merges
@@ -698,16 +580,6 @@ func (st *Store) compactIfNeeded() {
 	if s := st.live.Load(); s.l1 != nil && len(s.l1.triples)-int(s.l1.lo) >= l1Limit {
 		st.runMerge(true)
 	}
-}
-
-// InsertSPO encodes the three terms and inserts the triple live.
-func (st *Store) InsertSPO(s, p, o string, score float64) error {
-	return st.Insert(Triple{
-		S:     st.dict.Encode(s),
-		P:     st.dict.Encode(p),
-		O:     st.dict.Encode(o),
-		Score: score,
-	})
 }
 
 // Compact merges everything into the main frozen segment: the full triple

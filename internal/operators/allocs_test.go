@@ -102,10 +102,11 @@ func TestLiveStoreScanZeroAllocsWithEmptyHead(t *testing.T) {
 	st := dupFreeStore(t)
 	// Mutate live with more duplicate-free triples, then compact so the head
 	// is empty again.
+	d := st.Dict()
 	for i := 0; i < 32; i++ {
 		s := []string{"f1", "f2", "f3", "f4"}[i%4]
 		o := fmt.Sprintf("E%d", i/4)
-		if err := st.InsertSPO(s, "type", o, float64(200-i)); err != nil {
+		if err := st.Insert(kg.Triple{S: d.Encode(s), P: d.Encode("type"), O: d.Encode(o), Score: float64(200 - i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,15 +152,15 @@ func TestLiveStoreScanZeroAllocsWithEmptyHead(t *testing.T) {
 // that deletes introduce costs nothing once no tombstone is pending.
 func TestMutatedStoreScanZeroAllocsAfterCompact(t *testing.T) {
 	st := dupFreeStore(t)
+	d := st.Dict()
 	for i := 0; i < 32; i++ {
 		s := []string{"f1", "f2", "f3", "f4"}[i%4]
 		o := fmt.Sprintf("E%d", i/4)
-		if err := st.InsertSPO(s, "type", o, float64(200-i)); err != nil {
+		if err := st.Insert(kg.Triple{S: d.Encode(s), P: d.Encode("type"), O: d.Encode(o), Score: float64(200 - i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Retract a frozen-segment fact and a head fact, re-score another.
-	d := st.Dict()
 	del := func(s, p, o string) {
 		t.Helper()
 		if _, err := st.Delete(d.Encode(s), d.Encode("type"), d.Encode(o)); err != nil {
@@ -168,7 +169,8 @@ func TestMutatedStoreScanZeroAllocsAfterCompact(t *testing.T) {
 	}
 	del("e1", "type", "A")
 	del("f2", "type", "E3")
-	if err := st.Update(kg.Triple{S: d.Encode("e2"), P: d.Encode("type"), O: d.Encode("B"), Score: 77}); err != nil {
+	up := kg.Mutation{Op: kg.OpUpdate, Triple: kg.Triple{S: d.Encode("e2"), P: d.Encode("type"), O: d.Encode("B"), Score: 77}}
+	if _, _, err := st.Apply(up); err != nil {
 		t.Fatal(err)
 	}
 	st.Compact()

@@ -22,7 +22,7 @@ type Applier interface {
 	// InstallSnapshot replaces the entire local state with the snapshot
 	// (v2 binary format) covering WAL position seq.
 	InstallSnapshot(seq uint64, r io.Reader) error
-	// Apply applies one WAL record (KindInsert or KindTombstone) at position
+	// Apply applies one WAL record (insert, tombstone or update) at position
 	// AppliedSeq()+1.
 	Apply(rec wal.Record) error
 	// AppliedSeq returns the last applied WAL position.

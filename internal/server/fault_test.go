@@ -419,7 +419,15 @@ func TestOracleBitIdenticalUnderLoad(t *testing.T) {
 		want[i] = wireAnswer{Binding: eng.DecodeAnswer(q, a), Score: a.Score}
 	}
 
-	srv := New(Config{Backend: eng, MaxInflight: 2, MaxQueue: 2})
+	// Every clock read lands a minute after the previous one, so the shed
+	// bucket drains between any two events and the governor stays at
+	// TierNormal however the box schedules the workers: the test checks
+	// answers, not scheduling.
+	clock := newFakeClock()
+	srv := New(Config{Backend: eng, MaxInflight: 2, MaxQueue: 2, now: func() time.Time {
+		clock.Advance(time.Minute)
+		return clock.Now()
+	}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

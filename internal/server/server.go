@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"specqp"
+	"specqp/internal/kg"
 	"specqp/internal/metrics"
 )
 
@@ -747,6 +748,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, op string)
 		removed, err = s.eng.DeleteSPO(req.S, req.P, req.O)
 	case "update":
 		err = s.eng.UpdateSPO(req.S, req.P, req.O, req.Score)
+	}
+	if errors.Is(err, kg.ErrInvalidScore) {
+		errorBody(w, http.StatusBadRequest, "%s: %v", op, err)
+		return
 	}
 	if err != nil {
 		s.m.MutationErrors.Add(1)

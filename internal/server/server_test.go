@@ -329,6 +329,32 @@ func TestMutationEndpoints(t *testing.T) {
 	}
 }
 
+// TestMutationRejectsInvalidScore: a negative score is the client's error,
+// so /insert and /update answer 400 — not 500, and not a mutation error —
+// and the store is left untouched.
+func TestMutationRejectsInvalidScore(t *testing.T) {
+	eng := testEngine(t)
+	srv := New(Config{Backend: eng})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	before := eng.Graph().Len()
+	for _, op := range []string{"insert", "update"} {
+		status, out := postJSON(t, ts.URL+"/"+op, map[string]any{
+			"s": "bowie", "p": "rdf:type", "o": "singer", "score": -1.0,
+		})
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s with score -1: status %d want 400 (%v)", op, status, out)
+		}
+	}
+	if got := srv.Metrics().MutationErrors.Load(); got != 0 {
+		t.Fatalf("client errors counted as mutation errors: %d", got)
+	}
+	if got := eng.Graph().Len(); got != before {
+		t.Fatalf("rejected mutations changed the store: %d triples, want %d", got, before)
+	}
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
 	srv := New(Config{Backend: testEngine(t)})
 	ts := httptest.NewServer(srv.Handler())

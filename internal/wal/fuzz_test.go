@@ -11,8 +11,9 @@ import (
 // whatever valid records the input starts with.
 func FuzzWALReplay(f *testing.F) {
 	// Seeds: a clean two-record log, a truncated one, pure garbage, and a
-	// delete-bearing log — insert, tombstone, re-insert, plus an update's
-	// tombstone+insert pair — whole and cut mid-tombstone.
+	// delete-bearing log — insert, tombstone, re-insert, plus a legacy
+	// update's tombstone+insert pair and a one-record update — whole and cut
+	// mid-record.
 	var clean []byte
 	clean = appendRecord(clean, Record{Seq: 1, Kind: KindInsert, S: "alice", P: "knows", O: "bob", Score: 0.75})
 	clean = appendRecord(clean, Record{Seq: 2, Kind: KindInsert, S: "bob", P: "type", O: "person", Score: 2})
@@ -26,6 +27,7 @@ func FuzzWALReplay(f *testing.F) {
 	mutated = appendRecord(mutated, Record{Seq: 3, Kind: KindInsert, S: "alice", P: "knows", O: "bob", Score: 1.5})
 	mutated = appendRecord(mutated, Record{Seq: 4, Kind: KindTombstone, S: "bob", P: "type", O: "person"})
 	mutated = appendRecord(mutated, Record{Seq: 5, Kind: KindInsert, S: "bob", P: "type", O: "person", Score: 9})
+	mutated = appendRecord(mutated, Record{Seq: 6, Kind: KindUpdate, S: "bob", P: "type", O: "person", Score: 4.25})
 	f.Add(mutated)
 	f.Add(mutated[:len(mutated)-30])
 

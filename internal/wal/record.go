@@ -31,9 +31,14 @@ const (
 	// KindInsert logs one triple insertion; Score carries the triple score.
 	KindInsert = byte(1)
 	// KindTombstone logs a retraction of every live copy of the (S,P,O)
-	// key; Score is ignored and written as 0. An update logs as a tombstone
-	// followed by an insert of the new score.
+	// key; Score is ignored and written as 0.
 	KindTombstone = byte(2)
+	// KindUpdate logs a latest-wins re-score of the (S,P,O) key to Score:
+	// every live copy retracted and one copy inserted, as one record and one
+	// sequence number. Logs written before this kind existed carry an update
+	// as a KindTombstone followed by a KindInsert, which replays to the same
+	// state.
+	KindUpdate = byte(3)
 )
 
 // Record is one logged operation. S, P, O are the triple's term strings —
@@ -90,7 +95,7 @@ func appendRecord(buf []byte, r Record) []byte {
 // record that passes CRC at replay but violates them is reported as
 // corruption rather than applied.
 func validRecord(r Record) error {
-	if r.Kind != KindInsert && r.Kind != KindTombstone {
+	if r.Kind < KindInsert || r.Kind > KindUpdate {
 		return fmt.Errorf("wal: unsupported record kind %d", r.Kind)
 	}
 	if len(r.S) > MaxTermLen || len(r.P) > MaxTermLen || len(r.O) > MaxTermLen {

@@ -73,10 +73,10 @@ func TestAppendCloseReopenReplaysAll(t *testing.T) {
 	}
 }
 
-// TestTombstoneRecordRoundTrip pins the KindTombstone wire format: tombstone
-// records interleaved with inserts must survive append → close → recover
-// field-for-field, and a torn tail must cut at a record boundary so a
-// tombstone is never half-applied.
+// TestTombstoneRecordRoundTrip pins the KindTombstone and KindUpdate wire
+// formats: tombstone and update records interleaved with inserts must survive
+// append → close → recover field-for-field, and a torn tail must cut at a
+// record boundary so a tombstone is never half-applied.
 func TestTombstoneRecordRoundTrip(t *testing.T) {
 	fs := NewMemFS()
 	initManifest(t, fs, 0)
@@ -90,6 +90,7 @@ func TestTombstoneRecordRoundTrip(t *testing.T) {
 		{Kind: KindInsert, S: "alice", P: "knows", O: "bob", Score: 1.5},
 		{Kind: KindTombstone, S: "never", P: "seen", O: "key"},
 		{Kind: KindInsert, S: "bob", P: "type", O: "person", Score: 9},
+		{Kind: KindUpdate, S: "bob", P: "type", O: "person", Score: 4.25},
 	}
 	for _, r := range want {
 		if err := l.Append(r); err != nil {
@@ -443,7 +444,8 @@ func TestAppendValidation(t *testing.T) {
 	}
 	defer l.Close()
 	bad := []Record{
-		{Kind: 3, S: "s", P: "p", O: "o", Score: 1},
+		{Kind: 0, S: "s", P: "p", O: "o", Score: 1},
+		{Kind: 255, S: "s", P: "p", O: "o", Score: 1},
 		{Kind: KindInsert, S: "s", P: "p", O: "o", Score: -1},
 	}
 	for _, r := range bad {

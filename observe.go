@@ -20,7 +20,7 @@ type EngineStats struct {
 	L1Len       int `json:"l1_len"`
 	Tombstones  int `json:"tombstones"`
 	// Ops mirrors the WAL sequence on durable engines: triples at freeze
-	// plus one per Insert/Delete and two per Update.
+	// plus one per mutation (Insert, Delete or Update).
 	Ops uint64 `json:"ops"`
 
 	// Compaction activity, split by tier: full merges rebuild the frozen

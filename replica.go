@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -17,11 +16,11 @@ import (
 // discipline crash recovery uses (see loadDurableState). A snapshot delivery
 // rebuilds the whole store from the v2 binary format — the restart rule: the
 // checkpoint is the only self-contained state, because the opening
-// checkpoint's base triples exist in no WAL record — and record deliveries
-// replay through the same by-kind paths: inserts re-encode term strings
-// (subject-hash routing re-derives shard placement under any shard count) and
-// tombstones delete by unconditionally encoded IDs, never DeleteSPO, whose
-// unknown-term short-circuit would break the ops↔seq lockstep.
+// checkpoint's base triples exist in no WAL record — and every record
+// delivery replays through replay, recovery's own record → mutation
+// function: terms re-encode (subject-hash routing re-derives shard placement
+// under any shard count), and the record's one mutation publishes as one
+// snapshot, so a shipped update is never observable half-applied.
 //
 // A Replica is also a server.Backend (asserted where the server is wired, to
 // keep this package free of internal/server): queries serve from the last
@@ -90,20 +89,7 @@ func (r *Replica) SetRulesLoader(load func(d *kg.Dict) (*RuleSet, error)) {
 func (r *Replica) InstallSnapshot(seq uint64, src io.Reader) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	shards := r.opts.Shards
-	if shards < 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	type stage interface {
-		kg.LiveGraph
-		Add(kg.Triple) error
-	}
-	var g stage
-	if shards > 1 {
-		g = kg.NewShardedStore(nil, shards)
-	} else {
-		g = kg.NewStore(nil)
-	}
+	g := newStage(r.opts.Shards)
 	if err := kg.ReadBinaryInto(src, g.Dict(), g.Add); err != nil {
 		return fmt.Errorf("specqp: installing replica snapshot: %w", err)
 	}
@@ -120,8 +106,8 @@ func (r *Replica) InstallSnapshot(seq uint64, src io.Reader) error {
 	return nil
 }
 
-// Apply replays one shipped WAL record against the live engine — the
-// post-freeze half of recovery's replay-by-kind, verbatim: the caller (the
+// Apply replays one shipped WAL record against the live engine through
+// replay, exactly as recovery replays its log tail: the caller (the
 // follower) guarantees rec.Seq == AppliedSeq()+1.
 func (r *Replica) Apply(rec wal.Record) error {
 	r.mu.Lock()
@@ -130,21 +116,8 @@ func (r *Replica) Apply(rec wal.Record) error {
 	if eng == nil {
 		return ErrNotBootstrapped
 	}
-	switch rec.Kind {
-	case wal.KindInsert:
-		if err := eng.InsertSPO(rec.S, rec.P, rec.O, rec.Score); err != nil {
-			return fmt.Errorf("specqp: applying shipped record %d: %w", rec.Seq, err)
-		}
-	case wal.KindTombstone:
-		// Delete by encoded ID, not DeleteSPO: the short-circuit on unknown
-		// terms would desynchronise the applied position from the sequence
-		// number this record consumed (see loadDurableState).
-		d := eng.graph.Dict()
-		if _, err := eng.Delete(d.Encode(rec.S), d.Encode(rec.P), d.Encode(rec.O)); err != nil {
-			return fmt.Errorf("specqp: applying shipped tombstone %d: %w", rec.Seq, err)
-		}
-	default:
-		return fmt.Errorf("specqp: unsupported shipped record kind %d at seq %d", rec.Kind, rec.Seq)
+	if err := replay(eng.graph.(kg.LiveGraph), rec); err != nil {
+		return err
 	}
 	r.applied.Store(rec.Seq)
 	return nil

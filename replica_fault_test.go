@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"specqp/internal/kg"
 	"specqp/internal/repl"
 	"specqp/internal/wal"
 )
@@ -150,7 +151,7 @@ func TestReplicaNeverAppliesTwice(t *testing.T) {
 		if err := eng.Insert(tr); err != nil {
 			t.Fatal(err)
 		}
-		ops = append(ops, replOp{ins: true, tr: tr})
+		ops = append(ops, replOp{Op: kg.OpInsert, Triple: tr})
 	}
 	oc := &oracleCache{t: t, dict: dict, triples: triples, base: base, ops: ops, rules: rules, cache: map[uint64]*Engine{}}
 	stepReplicaTo(t, "dup", f, rep, uint64(len(ops)), oc, queries, 2000)

@@ -54,8 +54,8 @@ func TestReplicaFollowerHammer(t *testing.T) {
 	go func() { defer tail.Done(); f.Run(stop) }()
 
 	// Writers: mixed inserts, deletes (absent keys still consume a sequence
-	// number) and updates (two positions each), all within the fixture's term
-	// set so every dictionary assigns identical IDs.
+	// number) and updates (one position each, like every mutation), all
+	// within the fixture's term set so every dictionary assigns identical IDs.
 	const writers = 2
 	const opsPerWriter = 120
 	var wg sync.WaitGroup

@@ -23,14 +23,11 @@ import (
 // as record batches, and a checkpoint racing a lagging follower must surface
 // as a snapshot reinstall, never as a gap.
 
-// replOp is one WAL-position-level mutation: an insert or a tombstone. An
-// engine-level Update contributes two (its tombstone and its insert), exactly
-// as it logs, so ops[i] is the record at WAL sequence i+1 and an oracle at
-// position n is base + ops[:n].
-type replOp struct {
-	ins bool
-	tr  Triple
-}
+// replOp is one WAL-position-level mutation: an insert, a tombstone or an
+// update. Every engine-level mutation logs as exactly one record, so ops[i]
+// is the record at WAL sequence i+1 and an oracle at position n is
+// base + ops[:n].
+type replOp = kg.Mutation
 
 // randomOps drives nOps WAL positions of mixed mutations through the primary
 // engine and returns the op-level log. Terms stay inside the fixture's 16, so
@@ -48,31 +45,23 @@ func randomOps(t *testing.T, eng *Engine, rng *rand.Rand, nOps int) []replOp {
 	}
 	var ops []replOp
 	for len(ops) < nOps {
+		op := replOp{Op: kg.OpUpdate}
 		switch r := rng.Intn(10); {
 		case r < 6 || len(ops) == 0:
-			tr := randTriple()
-			if err := eng.Insert(tr); err != nil {
-				t.Fatal(err)
-			}
-			ops = append(ops, replOp{ins: true, tr: tr})
+			op.Op = kg.OpInsert
 		case r < 8:
 			// Delete a random key — sometimes absent, which still consumes a
 			// sequence number (the durable layer logs no-op deletes too).
-			tr := randTriple()
-			if _, err := eng.Delete(tr.S, tr.P, tr.O); err != nil {
-				t.Fatal(err)
-			}
-			ops = append(ops, replOp{tr: tr})
-		default:
-			if len(ops)+2 > nOps {
-				continue
-			}
-			tr := randTriple()
-			if err := eng.Update(tr); err != nil {
-				t.Fatal(err)
-			}
-			ops = append(ops, replOp{tr: tr}, replOp{ins: true, tr: tr})
+			op.Op = kg.OpDelete
 		}
+		op.Triple = randTriple()
+		if op.Op == kg.OpDelete {
+			op.Triple.Score = 0
+		}
+		if _, err := eng.mutate(op); err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, op)
 	}
 	return ops
 }
@@ -86,11 +75,7 @@ func opsOracle(t *testing.T, dict *kg.Dict, triples []Triple, base int, ops []re
 	st.Freeze()
 	eng := NewEngineWith(st, rules, Options{Shards: 1})
 	for _, op := range ops[:n] {
-		if op.ins {
-			if err := eng.Insert(op.tr); err != nil {
-				t.Fatal(err)
-			}
-		} else if _, err := eng.Delete(op.tr.S, op.tr.P, op.tr.O); err != nil {
+		if _, err := eng.mutate(op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -378,4 +363,68 @@ func TestReplicaOverTCPMatchesOracle(t *testing.T) {
 	oc.ops = ops
 	stepReplicaTo(t, "tcp after reconnect", f, rep, uint64(len(ops)), oc, queries, 200)
 	assertReplicaOracle(t, "tcp tip", rep, oc.at(uint64(len(ops))), queries)
+}
+
+// TestReplicaSeesUpdateAtomically: a primary's Update promises that no reader
+// observes the key absent or doubled, and the promise must survive shipping.
+// The records an Update leaves in the log are pulled through the feed and
+// applied one at a time; after every apply the follower — flat and sharded —
+// must show exactly one live copy of the key, and after the last one it must
+// carry the new score.
+func TestReplicaSeesUpdateAtomically(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		base := NewStore()
+		for _, o := range []string{"singer", "guitarist", "painter"} {
+			if err := base.AddSPO("bowie", "rdf:type", o, 90); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng, err := openDurableFS(wal.NewMemFS(), base, nil, Options{SyncPolicy: SyncAlways, CheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := eng.WALFeed()
+		rep := NewReplica(nil, Options{Shards: shards})
+		rc, seq, err := feed.OpenSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.InstallSnapshot(seq, rc); err != nil {
+			t.Fatal(err)
+		}
+		rc.Close()
+
+		if err := eng.UpdateSPO("bowie", "rdf:type", "singer", 97); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := feed.ReadAfter(rep.AppliedSeq(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			t.Fatalf("shards %d: the update shipped no records", shards)
+		}
+		var key Pattern
+		for i, rec := range recs {
+			if err := rep.Apply(rec); err != nil {
+				t.Fatal(err)
+			}
+			g := rep.Engine().Graph()
+			d := g.Dict()
+			s, _ := d.Lookup("bowie")
+			p, _ := d.Lookup("rdf:type")
+			o, _ := d.Lookup("singer")
+			key = Pattern{S: kg.Const(s), P: kg.Const(p), O: kg.Const(o)}
+			if n := g.Cardinality(key); n != 1 {
+				t.Fatalf("shards %d: after shipped record %d of %d (kind %d) the follower sees %d copies of the updated key, want 1",
+					shards, i+1, len(recs), rec.Kind, n)
+			}
+		}
+		if got := rep.Engine().Graph().MaxScore(key); got != 97 {
+			t.Fatalf("shards %d: follower holds score %v after the update, want 97", shards, got)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

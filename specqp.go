@@ -49,9 +49,9 @@ type (
 	// MaxScore, HasDuplicates, Version, Pin) the operators, the statistics
 	// catalog and the engine read.
 	Graph = kg.Graph
-	// LiveGraph is the mutable extension of Graph: post-freeze Insert into
-	// per-segment mutable heads, merged by Compact. Both store layouts
-	// implement it.
+	// LiveGraph is the mutable extension of Graph: post-freeze mutations
+	// applied into per-segment mutable heads, merged by Compact. Both store
+	// layouts implement it.
 	LiveGraph = kg.LiveGraph
 	// Dict is the term dictionary.
 	Dict = kg.Dict
@@ -524,10 +524,11 @@ func (e *Engine) ExplainString(ctx context.Context, q Query, k int, mode Mode) (
 // in its segment's mutable head, is immediately visible to every subsequent
 // query, and is merged into the frozen posting arenas when the head crosses
 // Options.HeadLimit or Compact is called. Safe for concurrent use with
-// queries and other Inserts. Note that with Options.Shards beyond 1 the
-// engine queries a sharded copy of the store passed to NewEngineWith — the
-// insert lands there, and Engine.Store() no longer reflects the live
-// contents (Engine.Graph() always does).
+// queries and other mutations. A negative, NaN or infinite score is
+// rejected before anything is logged or applied. Note that with
+// Options.Shards beyond 1 the engine queries a sharded copy of the store
+// passed to NewEngineWith — the insert lands there, and Engine.Store() no
+// longer reflects the live contents (Engine.Graph() always does).
 //
 // On a durable engine (OpenDurable) the insert is first framed into the
 // write-ahead log and Insert returns only once the record is durable per
@@ -536,17 +537,11 @@ func (e *Engine) ExplainString(ctx context.Context, q Query, k int, mode Mode) (
 // returns an error is *indeterminate*, exactly like an unacked write to any
 // database: the triple may be visible to queries on this process (applied
 // before the commit failed) and may or may not survive recovery. A commit
-// failure wedges the log — every later Insert fails and checkpoints are
+// failure wedges the log — every later mutation fails and checkpoints are
 // refused, so durable state stays at the last consistent prefix.
 func (e *Engine) Insert(t Triple) error {
-	lg, ok := e.graph.(kg.LiveGraph)
-	if !ok {
-		return fmt.Errorf("specqp: %T does not support live inserts", e.graph)
-	}
-	if e.wal != nil {
-		return e.wal.insert(lg, t)
-	}
-	return lg.Insert(t)
+	_, err := e.mutate(kg.Mutation{Op: kg.OpInsert, Triple: t})
+	return err
 }
 
 // InsertSPO encodes the three terms against the engine's dictionary and
@@ -569,14 +564,7 @@ func (e *Engine) InsertSPO(s, p, o string, score float64) error {
 // Insert: when Delete returns nil the retraction survives a crash, and a
 // deleted fact is never resurrected by recovery.
 func (e *Engine) Delete(s, p, o ID) (int, error) {
-	lg, ok := e.graph.(kg.LiveGraph)
-	if !ok {
-		return 0, fmt.Errorf("specqp: %T does not support live deletes", e.graph)
-	}
-	if e.wal != nil {
-		return e.wal.delete(lg, s, p, o)
-	}
-	return lg.Delete(s, p, o)
+	return e.mutate(kg.Mutation{Op: kg.OpDelete, Triple: Triple{S: s, P: p, O: o}})
 }
 
 // DeleteSPO looks the three terms up in the engine's dictionary and deletes
@@ -596,19 +584,17 @@ func (e *Engine) DeleteSPO(s, p, o string) (int, error) {
 // Update re-scores the 〈s p o〉 key latest-wins: every live copy is retracted
 // and one copy with t.Score takes its place, atomically from the point of
 // view of concurrent queries (no interleaving observes the key absent or
-// doubled). Updating a key with no live copies inserts it.
+// doubled). Updating a key with no live copies inserts it. Scores are
+// validated as for Insert.
 //
-// On a durable engine the update logs as a tombstone followed by an insert;
-// Update returns nil only once both records are durable.
+// On a durable engine the update logs as one KindUpdate record and Update
+// returns nil once it is durable. A follower replicating the log applies
+// that record as one mutation and publishes it as one snapshot, so the
+// guarantee extends to replicas: no query on a follower observes the key
+// absent or doubled either.
 func (e *Engine) Update(t Triple) error {
-	lg, ok := e.graph.(kg.LiveGraph)
-	if !ok {
-		return fmt.Errorf("specqp: %T does not support live updates", e.graph)
-	}
-	if e.wal != nil {
-		return e.wal.update(lg, t)
-	}
-	return lg.Update(t)
+	_, err := e.mutate(kg.Mutation{Op: kg.OpUpdate, Triple: t})
+	return err
 }
 
 // UpdateSPO encodes the three terms against the engine's dictionary and
@@ -616,6 +602,25 @@ func (e *Engine) Update(t Triple) error {
 func (e *Engine) UpdateSPO(s, p, o string, score float64) error {
 	d := e.graph.Dict()
 	return e.Update(Triple{S: d.Encode(s), P: d.Encode(p), O: d.Encode(o), Score: score})
+}
+
+// mutate is the one write path behind the six mutators: a durable engine
+// logs m and applies it under the WAL's ordering mutex (walState.apply);
+// otherwise m applies directly and any compaction it triggered runs on this
+// goroutine.
+func (e *Engine) mutate(m kg.Mutation) (int, error) {
+	lg, ok := e.graph.(kg.LiveGraph)
+	if !ok {
+		return 0, fmt.Errorf("specqp: %T does not support live mutations", e.graph)
+	}
+	if e.wal != nil {
+		return e.wal.apply(lg, m)
+	}
+	removed, compact, err := lg.Apply(m)
+	if compact != nil {
+		compact()
+	}
+	return removed, err
 }
 
 // Compact merges every pending mutable head into its frozen segment
