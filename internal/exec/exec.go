@@ -112,12 +112,12 @@ func (ex *Executor) buildLeg(g kg.Graph, q kg.Query, vs *kg.VarSet, i int, singl
 	card := g.Cardinality(pat)
 	for _, r := range ex.Rules.For(pat) {
 		if r.IsChain() {
-			matches := relax.ChainMatches(g, relax.ApplyChain(r, pat), vs)
+			matches := relax.ChainMatches(g, relax.ApplyChain(ex.Rules.Rule(pat, r), pat), vs)
 			inputs = append(inputs, operators.NewAnswerScan(matches, r.Weight, mask, c))
 			card += len(matches)
 			continue
 		}
-		rp := relax.Apply(r, pat)
+		rp := relax.Apply(r.To, pat)
 		inputs = append(inputs, operators.NewPatternScan(g, vs, rp, r.Weight, mask, c))
 		card += g.Cardinality(rp)
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"unsafe"
 )
 
 // Binary snapshot format for fast store persistence (TSV parsing dominates
@@ -384,7 +385,9 @@ func ReadBinaryInto(r io.Reader, dict *Dict, add func(Triple) error) error {
 			}
 			read += n
 		}
-		if got := dict.Encode(string(termBuf)); got != ID(i) {
+		// Encode copies what it interns, so a view of the reused buffer
+		// spares a second copy of every term.
+		if got := dict.Encode(unsafe.String(unsafe.SliceData(termBuf), len(termBuf))); got != ID(i) {
 			return fmt.Errorf("kg: snapshot contains duplicate term %q", termBuf)
 		}
 	}

@@ -14,11 +14,13 @@ type Triple struct {
 
 // Term is one position of a triple pattern: either a constant KG term or a
 // variable (Definition 2). Variables are identified by name; the query
-// compiler additionally assigns dense variable indexes (see Query).
+// compiler additionally assigns dense variable indexes (see Query). The field
+// order keeps a Term at 24 bytes (a Pattern at 72): the one-byte IsVar packs
+// after the four-byte ID instead of padding ahead of Name.
 type Term struct {
-	IsVar bool
 	Name  string // variable name without the leading '?', when IsVar
 	ID    ID     // constant term ID, when !IsVar
+	IsVar bool
 }
 
 // Var returns a variable term.

@@ -2,6 +2,7 @@ package kg
 
 import (
 	"testing"
+	"unsafe"
 )
 
 func TestPatternVars(t *testing.T) {
@@ -106,5 +107,14 @@ func TestQueryReplace(t *testing.T) {
 	}
 	if q2.Patterns[0].O.ID != 2 {
 		t.Fatal("Replace modified an unrelated pattern")
+	}
+}
+
+func TestTermAndPatternSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Term{}); got != 24 {
+		t.Errorf("Term is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(Pattern{}); got != 72 {
+		t.Errorf("Pattern is %d bytes, want 72", got)
 	}
 }

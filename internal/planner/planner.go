@@ -145,7 +145,7 @@ func (pl *Planner) Plan(q kg.Query, k int) Plan {
 				}
 			}
 		} else {
-			relaxedPat := relax.Apply(rule, pat)
+			relaxedPat := relax.Apply(rule.To, pat)
 			relaxedCard = float64(st.Cardinality(relaxedPat))
 			relaxedDist, _, relaxedOK = pl.Catalog.PatternDist(relaxedPat)
 		}

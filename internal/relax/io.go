@@ -24,19 +24,21 @@ func (rs *RuleSet) WriteTSV(w io.Writer, dict *kg.Dict) error {
 		}
 		return dict.Decode(t.ID)
 	}
+	rs.ready()
 	var lines []string
-	for _, list := range rs.rules {
-		for _, r := range list {
-			if r.IsChain() {
+	for i, k := range rs.keys {
+		for _, e := range rs.entries[rs.offs[i]:rs.offs[i+1]] {
+			if e.IsChain() {
 				// Chain rules have no single target pattern; the TSV format
 				// covers only plain rules. Skipping keeps round-trips of
 				// miner-produced rule sets lossless (miners emit no chains).
 				continue
 			}
+			from := domain(k, rs.vars[e.vars])
 			lines = append(lines, fmt.Sprintf("%s\t%s\t%s\t%s\t%s\t%s\t%s",
-				term(r.From.S), term(r.From.P), term(r.From.O),
-				term(r.To.S), term(r.To.P), term(r.To.O),
-				strconv.FormatFloat(r.Weight, 'g', -1, 64)))
+				term(from.S), term(from.P), term(from.O),
+				term(e.To.S), term(e.To.P), term(e.To.O),
+				strconv.FormatFloat(e.Weight, 'g', -1, 64)))
 		}
 	}
 	sort.Strings(lines)
@@ -62,7 +64,9 @@ func ReadTSV(r io.Reader, dict *kg.Dict) (*RuleSet, error) {
 // ReadTSVInto parses rules into an existing rule set — the path for engines
 // whose rule set must exist before the rules file can be read (a durable
 // engine recovers its dictionary from the WAL directory first, then loads
-// rules against it).
+// rules against it). Neither the rules nor the dictionary keep a reference
+// into the input text: constants are copied on interning and variable names
+// when the rules are sorted in, which happens before ReadTSVInto returns.
 func ReadTSVInto(rs *RuleSet, r io.Reader, dict *kg.Dict) error {
 	term := func(s string) kg.Term {
 		if strings.HasPrefix(s, "?") {
@@ -96,5 +100,6 @@ func ReadTSVInto(rs *RuleSet, r io.Reader, dict *kg.Dict) error {
 			return fmt.Errorf("relax: line %d: %v", lineNo, err)
 		}
 	}
+	rs.ready()
 	return sc.Err()
 }

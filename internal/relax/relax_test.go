@@ -76,7 +76,7 @@ func TestApplyRenamesVariables(t *testing.T) {
 	d := kg.NewDict()
 	r := Rule{From: pat(d, "s", "type", "singer"), To: pat(d, "s", "type", "vocalist"), Weight: 0.8}
 	qp := pat(d, "x", "type", "singer")
-	out := Apply(r, qp)
+	out := Apply(r.To, qp)
 	if !out.S.IsVar || out.S.Name != "x" {
 		t.Fatalf("subject variable: got %+v want ?x", out.S)
 	}

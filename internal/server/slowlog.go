@@ -76,14 +76,14 @@ func (sl *slowLog) disarm() {
 
 // slowEntry is one JSON line of the slow-query log.
 type slowEntry struct {
-	TS        string             `json:"ts"`
-	ElapsedUS int64              `json:"elapsed_us"`
-	Query     string             `json:"query"`
-	K         int                `json:"k"`
-	Mode      string             `json:"mode"`
-	Tier      int                `json:"tier"`
-	Answers   int                `json:"answers"`
-	Error     string             `json:"error,omitempty"`
+	TS        string `json:"ts"`
+	ElapsedUS int64  `json:"elapsed_us"`
+	Query     string `json:"query"`
+	K         int    `json:"k"`
+	Mode      string `json:"mode"`
+	Tier      int    `json:"tier"`
+	Answers   int    `json:"answers"`
+	Error     string `json:"error,omitempty"`
 	// Suppressed counts threshold crossings since the previous line that were
 	// rate-limited away instead of logged.
 	Suppressed int64              `json:"suppressed,omitempty"`
