@@ -235,7 +235,7 @@ func (s *storeState) forCandidates(sub Pattern, f func(t Triple)) {
 		}
 		for _, ti := range cand {
 			if !s.killed(ti) {
-				f(s.triples[ti])
+				f(s.triples[ti].triple())
 			}
 		}
 	}
@@ -244,6 +244,6 @@ func (s *storeState) forCandidates(sub Pattern, f func(t Triple)) {
 		emit(s.l1)
 	}
 	for _, hi := range s.headSorted {
-		f(s.triples[hi])
+		f(s.triples[hi].triple())
 	}
 }

@@ -102,7 +102,7 @@ func WriteGraphSnapshot(w io.Writer, g Graph) (n int, ops uint64, err error) {
 			emit = func(yield func(Triple) error) error {
 				for i := 0; i < total; i++ {
 					if live(int32(i)) {
-						if err := yield(p.s.triples[i]); err != nil {
+						if err := yield(p.s.triples[i].triple()); err != nil {
 							return err
 						}
 					}
@@ -125,7 +125,7 @@ func WriteGraphSnapshot(w io.Writer, g Graph) (n int, ops uint64, err error) {
 				for i := 0; i < total; i++ {
 					si, li := p.dir.locShard[i], p.dir.locIdx[i]
 					if lives[si](li) {
-						if err := yield(p.shards[si].s.triples[li]); err != nil {
+						if err := yield(p.shards[si].s.triples[li].triple()); err != nil {
 							return err
 						}
 					}

@@ -15,7 +15,7 @@ func (st *Store) WriteTSV(w io.Writer) error {
 	for _, t := range st.allTriples() {
 		_, err := fmt.Fprintf(bw, "%s\t%s\t%s\t%s\n",
 			st.dict.Decode(t.S), st.dict.Decode(t.P), st.dict.Decode(t.O),
-			strconv.FormatFloat(t.Score, 'g', -1, 64))
+			strconv.FormatFloat(t.score(), 'g', -1, 64))
 		if err != nil {
 			return err
 		}

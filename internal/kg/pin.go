@@ -58,7 +58,7 @@ func (ps *pinnedStore) Version() uint64 { return ps.version }
 func (ps *pinnedStore) Pin() Graph { return ps }
 
 // Triple implements Graph.
-func (ps *pinnedStore) Triple(i int32) Triple { return ps.s.triples[i] }
+func (ps *pinnedStore) Triple(i int32) Triple { return ps.s.triples[i].triple() }
 
 // HasDuplicates implements Graph.
 func (ps *pinnedStore) HasDuplicates() bool { return ps.dup }
@@ -170,7 +170,7 @@ func (ps *pinnedSharded) GlobalIndexes(i int) []int32 { return ps.dir.global[i] 
 // Triple implements Graph: every pinned directory entry resolves in its
 // shard's captured state.
 func (ps *pinnedSharded) Triple(i int32) Triple {
-	return ps.shards[ps.dir.locShard[i]].s.triples[ps.dir.locIdx[i]]
+	return ps.shards[ps.dir.locShard[i]].s.triples[ps.dir.locIdx[i]].triple()
 }
 
 // HasDuplicates implements Graph.

@@ -50,10 +50,11 @@ const (
 // later rebuild over the same physical slots can resurrect them.
 type postings struct {
 	// triples is the frozen prefix the index covers (the range [lo,
-	// len(triples)) of it). Triple indexes in every arena are absolute
-	// positions in this slice; the slice is never mutated (live inserts
-	// append past its length into the snapshot's triples).
-	triples []Triple
+	// len(triples)) of it), the snapshot's 20-byte records. Triple indexes in
+	// every arena are absolute positions in this slice; the slice is never
+	// mutated (live inserts append past its length into the snapshot's
+	// triples).
+	triples []tripleRec
 	// lo is the first triple index this segment covers: 0 for the main
 	// segment, the main segment's end for an L1 tier.
 	lo int32
@@ -98,17 +99,12 @@ func (po *postings) isDead(i int32) bool {
 
 // killedBy reports whether tombs retracts triples[i]: a tombstone's watermark
 // kills every copy of its (s,p,o) key inserted before it, and none after.
-func killedBy(tombs map[[3]ID]int32, t Triple, i int32) bool {
+func killedBy(tombs map[[3]ID]int32, r *tripleRec, i int32) bool {
 	if len(tombs) == 0 {
 		return false
 	}
-	w, ok := tombs[[3]ID{t.S, t.P, t.O}]
+	w, ok := tombs[r.key()]
 	return ok && i < w
-}
-
-// at returns t's ID at key position pos.
-func (t Triple) at(pos int) ID {
-	return [3]ID{t.S, t.P, t.O}[pos]
 }
 
 // buildPostings lays out every posting family over the triple range [lo,
@@ -118,7 +114,7 @@ func (t Triple) at(pos int) ID {
 // Freeze) and tombs the tombstone set to resolve: every triple in range that
 // is already dead, or that a tombstone's watermark retracts, is skipped and
 // marked dead — the built arenas hold surviving facts only.
-func buildPostings(triples []Triple, lo int32, prevDead []uint64, tombs map[[3]ID]int32, computes *atomic.Int64) *postings {
+func buildPostings(triples []tripleRec, lo int32, prevDead []uint64, tombs map[[3]ID]int32, computes *atomic.Int64) *postings {
 	nAll := len(triples)
 	dead := make([]uint64, (nAll+63)/64)
 	copy(dead, prevDead)
@@ -137,7 +133,7 @@ func buildPostings(triples []Triple, lo int32, prevDead []uint64, tombs map[[3]I
 		if dead[i>>6]&(1<<(uint32(i)&63)) != 0 {
 			continue
 		}
-		if killedBy(tombs, triples[i], int32(i)) {
+		if killedBy(tombs, &triples[i], int32(i)) {
 			dead[i>>6] |= 1 << (uint32(i) & 63)
 			continue
 		}
@@ -165,8 +161,7 @@ func buildPostings(triples []Triple, lo int32, prevDead []uint64, tombs map[[3]I
 	// Copies of one (s,p,o) key are adjacent in famSPO.
 	spo := a[famSPO]
 	for i := 1; i < n && !po.hasDuplicates; i++ {
-		x, y := triples[spo[i-1]], triples[spo[i]]
-		po.hasDuplicates = x.S == y.S && x.P == y.P && x.O == y.O
+		po.hasDuplicates = triples[spo[i-1]].key() == triples[spo[i]].key()
 	}
 	return po
 }
@@ -179,7 +174,7 @@ func buildPostings(triples []Triple, lo int32, prevDead []uint64, tombs map[[3]I
 func (po *postings) sortBy(dst, src []int32, pos int, buf, tmp []uint64) []uint64 {
 	var all ID
 	for i, ti := range src {
-		id := po.triples[ti].at(pos)
+		id := po.triples[ti].key()[pos]
 		all |= id
 		buf[i] = uint64(id)<<32 | uint64(i)
 	}
@@ -226,7 +221,7 @@ func keyColumn(buf []uint64) ([]ID, []int32) {
 // canonical orders triple indexes by raw score descending, index ascending on
 // ties — the canonical match-list order everywhere in the store.
 func (po *postings) canonical(a, b int32) int {
-	if sa, sb := po.triples[a].Score, po.triples[b].Score; sa != sb {
+	if sa, sb := po.triples[a].score(), po.triples[b].score(); sa != sb {
 		if sa > sb {
 			return -1
 		}
@@ -263,8 +258,8 @@ func (po *postings) lead(pos int, id ID) []int32 {
 
 // tailP and tailPO are the keys a composite family orders by inside a
 // leading run: P in famSP and famPO, (P, O) in famSPO.
-func tailP(t Triple) uint64  { return uint64(t.P) }
-func tailPO(t Triple) uint64 { return uint64(t.P)<<32 | uint64(t.O) }
+func tailP(r *tripleRec) uint64  { return uint64(r.P) }
+func tailPO(r *tripleRec) uint64 { return uint64(r.P)<<32 | uint64(r.O) }
 
 // sub narrows family f's run of id at position pos to the entries whose
 // tail is want: a contiguous, score-sorted range, returned as a view
@@ -273,13 +268,13 @@ func tailPO(t Triple) uint64 { return uint64(t.P)<<32 | uint64(t.O) }
 // needs no search: on the benchmark's four read-only workloads that serves
 // every composite lookup, and two binary searches through triples[] would
 // nearly double MatchList's cost.
-func (po *postings) sub(f, pos int, id ID, tail func(Triple) uint64, want uint64) []int32 {
+func (po *postings) sub(f, pos int, id ID, tail func(*tripleRec) uint64, want uint64) []int32 {
 	lo, hi := po.run(pos, id)
 	a := po.arenas[f]
-	if lo < hi && tail(po.triples[a[lo]]) < want { // so want > 0
+	if lo < hi && tail(&po.triples[a[lo]]) < want { // so want > 0
 		lo = po.above(a, lo+1, hi, tail, want-1)
 	}
-	if lo < hi && tail(po.triples[a[hi-1]]) > want {
+	if lo < hi && tail(&po.triples[a[hi-1]]) > want {
 		hi = po.above(a, lo, hi-1, tail, want)
 	}
 	return a[lo:hi:hi]
@@ -287,10 +282,10 @@ func (po *postings) sub(f, pos int, id ID, tail func(Triple) uint64, want uint64
 
 // above binary-searches a[i:j], ordered by tail, for the first entry whose
 // tail exceeds w, returning j when there is none.
-func (po *postings) above(a []int32, i, j int32, tail func(Triple) uint64, w uint64) int32 {
+func (po *postings) above(a []int32, i, j int32, tail func(*tripleRec) uint64, w uint64) int32 {
 	for i < j {
 		h := int32(uint32(i+j) >> 1)
-		if tail(po.triples[a[h]]) <= w {
+		if tail(&po.triples[a[h]]) <= w {
 			i = h + 1
 		} else {
 			j = h
@@ -326,7 +321,7 @@ func (po *postings) computeMatches(p Pattern) []int32 {
 			if po.isDead(int32(i)) {
 				continue
 			}
-			if p.Matches(po.triples[i]) {
+			if p.Matches(po.triples[i].triple()) {
 				out = append(out, int32(i))
 			}
 		}
@@ -334,7 +329,7 @@ func (po *postings) computeMatches(p Pattern) []int32 {
 		return out
 	}
 	for _, i := range cand {
-		if p.Matches(po.triples[i]) {
+		if p.Matches(po.triples[i].triple()) {
 			out = append(out, i)
 		}
 	}

@@ -99,7 +99,7 @@ func probeIDs(st *Store, pos int) []ID {
 	present := map[ID]bool{}
 	first, last := NoID, ID(0)
 	for i := 0; i < st.Len(); i++ {
-		id := st.Triple(int32(i)).at(pos)
+		id := st.allTriples()[i].key()[pos]
 		present[id] = true
 		first, last = min(first, id), max(last, id)
 	}

@@ -138,8 +138,8 @@ func NewShardedStore(dict *Dict, n int) *ShardedStore {
 // untouched — in particular it is not frozen if it was not already.
 func NewShardedStoreFrom(st *Store, n int) *ShardedStore {
 	ss := NewShardedStore(st.dict, n)
-	for _, t := range st.allTriples() {
-		if err := ss.Add(t); err != nil {
+	for _, r := range st.allTriples() {
+		if err := ss.Add(r.triple()); err != nil {
 			// st accepted the triple, so the shard must too.
 			panic(fmt.Sprintf("kg: resharding valid triple failed: %v", err))
 		}

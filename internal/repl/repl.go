@@ -35,7 +35,6 @@
 package repl
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -224,7 +223,8 @@ func ParseDelivery(data []byte) (Delivery, error) {
 		// first=0 skips the reader's continuity check: batch continuity is
 		// the applier's concern (it must also hold across deliveries), and a
 		// replayed delivery legitimately starts below the current position.
-		_, rerr := wal.ReadRecords(bytes.NewReader(body), 0, func(r wal.Record) error {
+		// The body is already in memory, so the walk parses it in place.
+		_, rerr := wal.ParseRecords(body, 0, func(r wal.Record) error {
 			d.Records = append(d.Records, r)
 			return nil
 		})

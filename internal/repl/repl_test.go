@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -348,5 +349,34 @@ func TestParseDeliveryTornRecordsYieldPrefix(t *testing.T) {
 				t.Fatalf("torn prefix record %d differs", i)
 			}
 		}
+	}
+}
+
+// ParseDelivery walks the body it was handed: parsing allocates what the
+// returned records need, not a read buffer.
+func TestParseDeliveryAllocs(t *testing.T) {
+	fs, l, _ := shipFixture(t, 200)
+	p := NewPrimary(wal.NewFeed(fs, l), PrimaryOptions{MaxBatchBytes: 1 << 20, PollWait: -1})
+	data, n, err := p.DeliverRecords(0)
+	if err != nil || n != 200 {
+		t.Fatalf("DeliverRecords: n=%d err=%v", n, err)
+	}
+	parse := func() {
+		if d, err := ParseDelivery(data); err != nil || len(d.Records) != n {
+			t.Fatalf("ParseDelivery = %d records, %v; want %d", len(d.Records), err, n)
+		}
+	}
+	parse()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		parse()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(n)
+	if per > 512 {
+		t.Errorf("ParseDelivery allocates %.0f B per record, want at most 512", per)
 	}
 }

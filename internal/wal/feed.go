@@ -107,8 +107,16 @@ func (l *Log) segmentsSnapshot() []segment {
 // Records still buffered in the commit pipeline (written by no leader yet)
 // are not visible; they ship on a later call. Reading races appends safely:
 // a scan observing a half-written record stops at the CRC, which just shortens
-// this batch.
+// this batch. A position at or past the log's written watermark is caught up:
+// ReadAfter answers it without opening a file, so a follower polling an idle
+// primary costs no I/O and no decoding.
 func (f *Feed) ReadAfter(after uint64, maxBytes int) ([]Record, error) {
+	if after >= f.log.written.Load() {
+		// Nothing after the position is written yet, so nothing after it
+		// can have been truncated either: whatever comes next is still in
+		// the commit pipeline.
+		return nil, nil
+	}
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}

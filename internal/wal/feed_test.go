@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -225,4 +226,91 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 	n := copy(p, r.b)
 	r.b = r.b[n:]
 	return n, nil
+}
+
+// openCountingFS counts the files a Feed opens.
+type openCountingFS struct {
+	FS
+	opens int
+}
+
+func (c *openCountingFS) Open(name string) (io.ReadCloser, error) {
+	c.opens++
+	return c.FS.Open(name)
+}
+
+// allocBytesPerRun reports the mean heap bytes one call of f allocates.
+func allocBytesPerRun(runs int, f func()) float64 {
+	f()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// A follower polling an idle primary re-reads nothing: a caught-up
+// ReadAfter opens no file and allocates (next to) nothing, however long the
+// active segment is.
+func TestFeedCaughtUpReadAfterAllocs(t *testing.T) {
+	const n = 700
+	fs := NewMemFS()
+	initManifest(t, fs, 0)
+	l, _, err := Open(fs, Options{Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < n; i++ {
+		if err := l.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfs := &openCountingFS{FS: fs}
+	feed := NewFeed(cfs, l)
+	per := allocBytesPerRun(100, func() {
+		if recs, err := feed.ReadAfter(n, 1<<20); err != nil || len(recs) != 0 {
+			t.Fatalf("caught-up ReadAfter = %d records, %v", len(recs), err)
+		}
+	})
+	if per > 1024 {
+		t.Errorf("caught-up ReadAfter allocates %.0f B, want at most 1 KiB", per)
+	}
+	if cfs.opens != 0 {
+		t.Errorf("caught-up ReadAfter opened %d files, want none", cfs.opens)
+	}
+	// One record behind still reads the segment and finds it.
+	recs, err := feed.ReadAfter(n-1, 1<<20)
+	if err != nil || len(recs) != 1 || recs[0].Seq != n {
+		t.Fatalf("ReadAfter(%d) = %d records, %v; want seq %d", n-1, len(recs), err, n)
+	}
+	if cfs.opens == 0 {
+		t.Fatal("ReadAfter one record behind opened no segment")
+	}
+}
+
+// A scan borrows its read buffer: reading a segment allocates about what the
+// records it delivers need, not a fresh buffer per call.
+func TestReadRecordsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	var framed []byte
+	const n = 50
+	for i := 0; i < n; i++ {
+		r := rec(i)
+		r.Seq = uint64(i + 1)
+		framed = FrameRecord(framed, r)
+	}
+	per := allocBytesPerRun(100, func() {
+		if got, _ := ReadRecords(bytesReader(framed), 1, func(Record) error { return nil }); got != n {
+			t.Fatalf("ReadRecords delivered %d records, want %d", got, n)
+		}
+	})
+	if per > 64*n {
+		t.Errorf("ReadRecords of %d records allocates %.0f B, want at most %d", n, per, 64*n)
+	}
 }

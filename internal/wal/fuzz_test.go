@@ -60,5 +60,20 @@ func FuzzWALReplay(f *testing.F) {
 		if !bytes.HasPrefix(data, reframed) {
 			t.Fatalf("recovered records do not re-frame to an input prefix")
 		}
+		// The in-place walk over the same bytes must deliver exactly what
+		// the streaming reader delivered.
+		var inPlace []Record
+		m, _ := ParseRecords(data, 0, func(r Record) error {
+			inPlace = append(inPlace, r)
+			return nil
+		})
+		if m != n || len(inPlace) != len(got) {
+			t.Fatalf("ParseRecords delivered %d records, ReadRecords %d", len(inPlace), len(got))
+		}
+		for i := range got {
+			if inPlace[i] != got[i] {
+				t.Fatalf("record %d: ParseRecords %+v, ReadRecords %+v", i, inPlace[i], got[i])
+			}
+		}
 	})
 }

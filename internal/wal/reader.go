@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"slices"
+	"sync"
 )
 
 // ReadRecords streams the valid record prefix of one segment's bytes:
@@ -19,39 +21,45 @@ import (
 // actually read, never with a claimed length, and every structural rule the
 // writer enforces is re-checked after the CRC. It never returns an error for
 // bad bytes — bad bytes are the expected crash residue — only fn's error is
-// propagated.
+// propagated. Its read buffer comes from a pool shared by every scan, so a
+// call allocates only the records it delivers.
 func ReadRecords(r io.Reader, first uint64, fn func(Record) error) (int, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var head [8]byte
-	payload := make([]byte, 0, 256)
-	const chunk = 64 << 10
-	var zero [chunk]byte
+	fr := frameReaders.Get().(*frameReader)
+	fr.br.Reset(r)
+	defer fr.release()
+	return walkFrames(fr.next, first, fn)
+}
+
+// ParseRecords is ReadRecords over bytes already in memory: it walks data in
+// place, with no read buffer and no payload copy, under the same torn-tail
+// and validation rules.
+func ParseRecords(data []byte, first uint64, fn func(Record) error) (int, error) {
+	return walkFrames(func() ([]byte, uint32, bool) {
+		if len(data) < 8 {
+			return nil, 0, false // clean end or torn header
+		}
+		plen := binary.LittleEndian.Uint32(data[:4])
+		crc := binary.LittleEndian.Uint32(data[4:8])
+		if plen < 8+1 || plen > maxPayload || uint64(len(data)-8) < uint64(plen) {
+			return nil, 0, false // implausible or torn frame
+		}
+		p := data[8 : 8+plen]
+		data = data[8+plen:]
+		return p, crc, true
+	}, first, fn)
+}
+
+// walkFrames applies the torn-tail rule to the frames next yields: each
+// payload must match its CRC, parse, and carry the expected sequence number,
+// or the walk stops there. next reports ok=false at a torn or implausible
+// frame (and at the clean end).
+func walkFrames(next func() (payload []byte, crc uint32, ok bool), first uint64, fn func(Record) error) (int, error) {
 	n := 0
 	expect := first
 	for {
-		if _, err := io.ReadFull(br, head[:]); err != nil {
-			return n, nil // clean EOF or torn header — stop either way
-		}
-		plen := binary.LittleEndian.Uint32(head[:4])
-		crc := binary.LittleEndian.Uint32(head[4:])
-		if plen < 8+1 || plen > maxPayload {
-			return n, nil // implausible frame — corrupt
-		}
-		payload = payload[:0]
-		for read := uint32(0); read < plen; {
-			step := plen - read
-			if step > chunk {
-				step = chunk
-			}
-			start := len(payload)
-			payload = append(payload, zero[:step]...)
-			if _, err := io.ReadFull(br, payload[start:]); err != nil {
-				return n, nil // torn payload
-			}
-			read += step
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return n, nil // corrupt payload
+		payload, crc, ok := next()
+		if !ok || crc32.Checksum(payload, castagnoli) != crc {
+			return n, nil // end, torn frame or corrupt payload
 		}
 		rec, err := parsePayload(payload)
 		if err != nil {
@@ -68,6 +76,64 @@ func ReadRecords(r io.Reader, first uint64, fn func(Record) error) (int, error) 
 			expect++
 		}
 	}
+}
+
+const (
+	// readBufSize is a pooled frame reader's read-ahead.
+	readBufSize = 64 << 10
+	// readChunk caps each step by which a payload buffer grows while a frame
+	// is read, so a torn length field claiming maxPayload costs only the
+	// bytes actually present.
+	readChunk = 64 << 10
+)
+
+// frameReader reads record frames from a stream into a reused payload
+// buffer. Scans borrow one from frameReaders, so neither the read buffer
+// nor the payload buffer is allocated per call.
+type frameReader struct {
+	br      *bufio.Reader
+	head    [8]byte
+	payload []byte
+}
+
+var frameReaders = sync.Pool{New: func() any {
+	return &frameReader{br: bufio.NewReaderSize(nil, readBufSize)}
+}}
+
+// release drops the stream and returns fr to the pool; a payload buffer a
+// large record grew past readChunk is let go rather than pinned.
+func (fr *frameReader) release() {
+	fr.br.Reset(nil)
+	if cap(fr.payload) > readChunk {
+		fr.payload = nil
+	}
+	frameReaders.Put(fr)
+}
+
+// next reads one frame, returning its payload (valid until the next call)
+// and its CRC; ok is false at the end of the stream or a torn or
+// implausible frame.
+func (fr *frameReader) next() ([]byte, uint32, bool) {
+	if _, err := io.ReadFull(fr.br, fr.head[:]); err != nil {
+		return nil, 0, false // clean EOF or torn header — stop either way
+	}
+	plen := binary.LittleEndian.Uint32(fr.head[:4])
+	crc := binary.LittleEndian.Uint32(fr.head[4:])
+	if plen < 8+1 || plen > maxPayload {
+		return nil, 0, false // implausible frame — corrupt
+	}
+	p := fr.payload[:0]
+	for read := uint32(0); read < plen; {
+		step := min(plen-read, readChunk)
+		start := len(p)
+		p = slices.Grow(p, int(step))[:start+int(step)]
+		fr.payload = p
+		if _, err := io.ReadFull(fr.br, p[start:]); err != nil {
+			return nil, 0, false // torn payload
+		}
+		read += step
+	}
+	return p, crc, true
 }
 
 // scanSegment reads one segment file, calling fn per valid record. It

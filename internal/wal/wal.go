@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -165,6 +166,10 @@ type Log struct {
 	cur      *batch // round the buffered records belong to
 	writing  bool   // a commit leader (or Sync) owns the files
 	nextSeq  uint64
+	// written is the highest sequence number whose record a segment holds
+	// (or the recovered position, at Open): stored after each successful
+	// write, so a reader past it knows no segment has more to give.
+	written atomic.Uint64
 
 	active     File
 	activeName string
@@ -309,6 +314,7 @@ func finishOpen(fsys FS, opts Options, rec *Recovery, kept []segment, prev uint6
 	for _, s := range kept {
 		l.totalSize += s.size
 	}
+	l.written.Store(rec.LastSeq)
 	l.cond = sync.NewCond(&l.mu)
 	if opts.Policy == SyncInterval {
 		l.stopTicker = make(chan struct{})
@@ -452,7 +458,9 @@ func (l *Log) commit(forceSync bool) error {
 
 		err := wedged
 		if err == nil {
-			err = l.writeChunk(buf, first)
+			if err = l.writeChunk(buf, first); err == nil {
+				l.written.Store(first + uint64(count) - 1)
+			}
 		}
 		var syncDur time.Duration
 		if err == nil && (forceSync || l.opts.Policy == SyncAlways) {
