@@ -2,8 +2,9 @@
 // package. Executor.Run is the one execution entry: it builds the operator
 // tree for a plan — a sorted scan per join-group pattern, an Incremental
 // Merge over the pattern and its relaxations per singleton, left-deep rank
-// joins over the legs — and drains it to the plan's k. The engines the
-// evaluation compares differ only in the plan the caller hands it:
+// joins over the legs, each an index-probe join where the leg allows — and
+// drains it to the plan's k. The engines the evaluation compares differ only
+// in the plan the caller hands it:
 //
 //   - TriniT (planner.TriniTPlan): the non-speculative baseline — every
 //     pattern is a singleton (Section 2.1, Figure 2);
@@ -20,6 +21,7 @@ package exec
 
 import (
 	"context"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -71,10 +73,12 @@ type Executor struct {
 	Store kg.Graph
 	Rules *relax.RuleSet
 	// Parallel executes independent join legs concurrently: legs are
-	// constructed on separate goroutines (cardinality probes, match-list and
-	// chain-relaxation materialisation overlap), and each leg stream is
-	// wrapped in an order-preserving Prefetch so leg production overlaps the
-	// rank join's consumption. Answers are bit-identical to sequential
+	// described on separate goroutines (cardinality estimates and
+	// chain-relaxation materialisation overlap), and when more than one leg
+	// is streamed rather than probed, each leg stream — built afterwards,
+	// one leg after another — is wrapped in an order-preserving Prefetch so
+	// leg production overlaps the rank join's consumption. A probed leg has
+	// no stream to prefetch. Answers are bit-identical to sequential
 	// execution — Prefetch is observationally identical to its inner stream —
 	// but Result.MemoryObjects may exceed the sequential count: prefetched
 	// entries the top-k cutoff never consumes are still created and counted.
@@ -86,68 +90,90 @@ func New(st kg.Graph, rs *relax.RuleSet) *Executor {
 	return &Executor{Store: st, Rules: rs}
 }
 
-// leg is one independent input pipeline of the left-deep join.
+// leg is one independent input pipeline of the left-deep join: a triple
+// pattern, or a singleton's Incremental Merge over the pattern and its
+// relaxations.
 type leg struct {
-	stream operators.Stream
-	vars   map[int]bool
-	card   int
-	single bool
+	// inputs are the pattern and its non-chain relaxations in merge order;
+	// nil when a chain relaxation takes part, which only a stream can serve.
+	inputs  []operators.ProbeInput
+	stream  operators.Stream // built by open unless the leg is probed
+	vars    map[int]bool
+	card    int
+	single  bool
+	buildUS int64 // traced executions: construction wall time
 }
 
-// buildLeg constructs the pipeline for pattern index i of the plan: a plain
+// buildLeg describes the pipeline for pattern index i of the plan: a plain
 // sorted scan for join-group patterns, an Incremental Merge over the original
-// scan plus one weighted scan per relaxation rule for singletons. g is the
-// pinned snapshot shared by every leg of the tree.
+// scan plus one weighted scan per relaxation rule for singletons. Only a leg
+// with a chain relaxation is built at once (its matches are materialised to
+// size it); the others are opened when the join order needs a stream. g is
+// the pinned snapshot shared by every leg of the tree.
 func (ex *Executor) buildLeg(g kg.Graph, q kg.Query, vs *kg.VarSet, i int, single bool, c *operators.Counter) leg {
 	pat := q.Patterns[i]
+	l := leg{
+		inputs: []operators.ProbeInput{{Pattern: pat, Weight: 1}},
+		vars:   operators.PatternBoundVars(vs, pat),
+		card:   g.Cardinality(pat),
+		single: single,
+	}
 	if !single {
-		return leg{
-			stream: operators.NewPatternScan(g, vs, pat, 1, 0, c),
-			vars:   operators.PatternBoundVars(vs, pat),
-			card:   g.Cardinality(pat),
-		}
+		return l
 	}
 	mask := uint32(1) << uint(i)
-	inputs := []operators.Stream{operators.NewPatternScan(g, vs, pat, 1, 0, c)}
-	card := g.Cardinality(pat)
+	var scans []operators.Stream
 	for _, r := range ex.Rules.For(pat) {
 		if r.IsChain() {
+			if scans == nil {
+				scans = ex.scans(g, vs, l.inputs, c)
+			}
 			matches := relax.ChainMatches(g, relax.ApplyChain(ex.Rules.Rule(pat, r), pat), vs)
-			inputs = append(inputs, operators.NewAnswerScan(matches, r.Weight, mask, c))
-			card += len(matches)
+			scans = append(scans, operators.NewAnswerScan(matches, r.Weight, mask, c))
+			l.card += len(matches)
 			continue
 		}
-		rp := relax.Apply(r.To, pat)
-		inputs = append(inputs, operators.NewPatternScan(g, vs, rp, r.Weight, mask, c))
-		card += g.Cardinality(rp)
+		in := operators.ProbeInput{Pattern: relax.Apply(r.To, pat), Weight: r.Weight, Mask: mask}
+		l.inputs = append(l.inputs, in)
+		if scans != nil {
+			scans = append(scans, ex.scans(g, vs, []operators.ProbeInput{in}, c)...)
+		}
+		l.card += g.Cardinality(in.Pattern)
 	}
-	return leg{
-		stream: operators.NewIncrementalMerge(inputs, c),
-		vars:   operators.PatternBoundVars(vs, pat),
-		card:   card,
-		single: true,
+	if scans != nil {
+		l.inputs = nil
+		l.stream = operators.NewIncrementalMerge(scans, c)
 	}
+	return l
 }
 
-// buildStream assembles the operator tree for a plan and returns the root
-// stream plus a stop function releasing any background prefetchers (call it
-// once the stream will no longer be consumed). The join order is join group
-// first (cheapest pattern first), then singletons by ascending cardinality —
-// a deterministic left-deep order that keeps intermediate results small,
-// independent of construction concurrency.
-func (ex *Executor) buildStream(p planner.Plan, c *operators.Counter) (operators.Stream, *kg.VarSet, func()) {
-	q := p.Query
-	vs := kg.NewVarSet(q)
+// scans builds one sorted scan per input.
+func (ex *Executor) scans(g kg.Graph, vs *kg.VarSet, inputs []operators.ProbeInput, c *operators.Counter) []operators.Stream {
+	out := make([]operators.Stream, len(inputs))
+	for j, in := range inputs {
+		out[j] = operators.NewPatternScan(g, vs, in.Pattern, in.Weight, in.Mask, c)
+	}
+	return out
+}
 
-	// One pinned snapshot serves the entire operator tree: every scan,
-	// cardinality probe and normalisation constant — across all legs, even
-	// when legs are built concurrently — reads the same content version, so
-	// a query racing live inserts answers for exactly one store state.
-	g := ex.Store.Pin()
+// open builds the leg's stream if buildLeg left it unbuilt.
+func (ex *Executor) open(g kg.Graph, vs *kg.VarSet, l *leg, c *operators.Counter) {
+	if l.stream != nil {
+		return
+	}
+	if !l.single {
+		l.stream = ex.scans(g, vs, l.inputs, c)[0]
+		return
+	}
+	l.stream = operators.NewIncrementalMerge(ex.scans(g, vs, l.inputs, c), c)
+}
 
+// buildLegs builds the plan's legs over snapshot g in join order: join
+// group first, then singletons, each by ascending cardinality.
+func (ex *Executor) buildLegs(g kg.Graph, p planner.Plan, vs *kg.VarSet, c *operators.Counter) []leg {
 	legs := make([]leg, len(p.JoinGroup)+len(p.Singletons))
 	build := func(slot int, patIdx int, single bool) {
-		legs[slot] = ex.buildLeg(g, q, vs, patIdx, single, c)
+		legs[slot] = ex.buildLeg(g, p.Query, vs, patIdx, single, c)
 	}
 	if c.Tracing() {
 		// Traced executions additionally stamp each leg's construction wall
@@ -157,7 +183,7 @@ func (ex *Executor) buildStream(p planner.Plan, c *operators.Counter) (operators
 		build = func(slot int, patIdx int, single bool) {
 			t0 := time.Now()
 			inner(slot, patIdx, single)
-			operators.StampBuild(legs[slot].stream, time.Since(t0).Microseconds())
+			legs[slot].buildUS = time.Since(t0).Microseconds()
 		}
 	}
 	if ex.Parallel && len(legs) > 1 {
@@ -186,25 +212,87 @@ func (ex *Executor) buildStream(p planner.Plan, c *operators.Counter) (operators
 		}
 	}
 
-	// Deterministic order: join-group legs first, each group sorted by
-	// ascending cardinality.
 	sort.SliceStable(legs, func(a, b int) bool {
 		if legs[a].single != legs[b].single {
 			return !legs[a].single
 		}
 		return legs[a].card < legs[b].card
 	})
+	return legs
+}
 
-	streams := make([]operators.Stream, len(legs))
-	vars := make([]map[int]bool, len(legs))
-	for i, l := range legs {
-		streams[i], vars[i] = l.stream, l.vars
+// buildStream assembles the operator tree for a plan and returns the root
+// stream plus a stop function releasing any background prefetchers (call it
+// once the stream will no longer be consumed). The join order is join group
+// first (cheapest pattern first), then singletons by ascending cardinality —
+// a deterministic left-deep order that keeps intermediate results small,
+// independent of construction concurrency.
+//
+// Each leg after the first joins the accumulated left side through a
+// ProbeJoin when it is a triple pattern plus non-chain relaxations sharing a
+// variable with that side: its matches are then probed per left binding and
+// its scans and merge are never built. Any other leg joins through a
+// RankJoin over its stream. The choice reads only the plan and the patterns,
+// never the snapshot's state, so a live store and its flat rebuild run the
+// same operators. The two joins agree unless a relaxation replaces a join
+// variable with a constant: a RankJoin then joins nothing under the unbound
+// variable, where a ProbeJoin treats it as unconstrained, as Naive does.
+func (ex *Executor) buildStream(p planner.Plan, c *operators.Counter) (operators.Stream, *kg.VarSet, func()) {
+	vs := kg.NewVarSet(p.Query)
+	// One pinned snapshot serves the entire operator tree: every scan,
+	// probe, cardinality estimate and normalisation constant — across all
+	// legs, even when legs are built concurrently — reads the same content
+	// version, so a query racing live inserts answers for exactly one store
+	// state.
+	g := ex.Store.Pin()
+	legs := ex.buildLegs(g, p, vs, c)
+	if len(legs) == 0 {
+		return operators.LeftDeep(nil, nil, c), vs, func() {}
+	}
+
+	tracing := c.Tracing()
+	prober := g.(kg.Prober) // every pinned view is a Prober
+	probed := make([]bool, len(legs))
+	leftVars := make([]map[int]bool, len(legs)) // leftVars[i]: what legs[:i] bind
+	var streams []operators.Stream
+	vars := map[int]bool{}
+	for i := range legs {
+		l := &legs[i]
+		leftVars[i] = maps.Clone(vars)
+		if i > 0 && l.inputs != nil && len(operators.JoinVars(vars, l.vars)) > 0 {
+			probed[i] = true
+		} else {
+			var t0 time.Time
+			if tracing {
+				t0 = time.Now()
+			}
+			ex.open(g, vs, l, c)
+			if tracing {
+				operators.StampBuild(l.stream, l.buildUS+time.Since(t0).Microseconds())
+			}
+			streams = append(streams, l.stream)
+		}
+		maps.Copy(vars, l.vars)
 	}
 	stop := func() {}
 	if ex.Parallel && len(streams) > 1 {
 		stop = operators.PrefetchAll(streams, operators.DefaultPrefetchDepth)
 	}
-	return operators.LeftDeep(streams, vars, c), vs, stop
+
+	// PrefetchAll wraps streams in place; fold the tree over the wrapped
+	// streams in leg order.
+	root, next := streams[0], 1
+	for i := 1; i < len(legs); i++ {
+		l := &legs[i]
+		if probed[i] {
+			root = operators.NewProbeJoin(root, leftVars[i], prober, vs, l.inputs, c)
+			operators.StampBuild(root, l.buildUS)
+		} else {
+			root = operators.NewRankJoin(root, streams[next], operators.JoinVars(leftVars[i], l.vars), c)
+			next++
+		}
+	}
+	return root, vs, stop
 }
 
 // Run executes plan p and returns its top-k answers (k from the plan). It

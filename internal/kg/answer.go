@@ -1,7 +1,9 @@
 package kg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -219,22 +221,26 @@ func bindInto(vs *VarSet, p Pattern, t Triple, b, nb Binding) bool {
 	return set(p.S, t.S) && set(p.P, t.P) && set(p.O, t.O)
 }
 
-// forCandidates is the snapshot-level candidate enumeration behind the
-// pinned views' matcher: it feeds f every triple of the cheapest candidate
-// posting for sub (a superset of the exact matches), then every head triple.
-// The frozen side deliberately uses the frozen-only lists — the merged
+// probe is the snapshot-level candidate enumeration behind Prober: it feeds
+// f every live triple of the cheapest candidate posting for sub in each
+// frozen segment, then the head triples the head index narrows sub to. The
+// frozen side deliberately uses the frozen-only lists — the merged
 // frozen⊕head list would replay head triples twice, which would double-count
-// derivations in the exact evaluator. Pending-tombstone victims are
-// masked out — a retracted fact must not contribute derivations — while the
-// head needs no mask (deletes remove its entries physically).
-func (s *storeState) forCandidates(sub Pattern, f func(t Triple)) {
+// derivations in the exact evaluator. Pending-tombstone victims are masked
+// out through killedSet — a retracted fact must not contribute derivations
+// — while the head needs no mask (deletes remove its entries physically).
+func (s *storeState) probe(sub Pattern, f func(t Triple)) {
+	var killed []uint64
+	if len(s.tombs) > 0 {
+		killed = s.killedSet()
+	}
 	emit := func(po *postings) {
 		cand, ok := po.candidates(sub)
 		if !ok {
 			cand = po.matchList(sub)
 		}
 		for _, ti := range cand {
-			if !s.killed(ti) {
+			if killed == nil || killed[ti>>6]&(1<<(ti&63)) == 0 {
 				f(s.triples[ti].triple())
 			}
 		}
@@ -243,7 +249,66 @@ func (s *storeState) forCandidates(sub Pattern, f func(t Triple)) {
 	if s.l1 != nil {
 		emit(s.l1)
 	}
-	for _, hi := range s.headSorted {
+	if len(s.headSorted) == 0 {
+		return
+	}
+	for _, hi := range s.headIndex().candidates(s, sub) {
 		f(s.triples[hi].triple())
 	}
+}
+
+// headIndex lists a snapshot's head triple indexes ordered by subject and by
+// object (index ascending within a key), so a probe with a bound subject or
+// object reads only its key's head run instead of the whole head.
+type headIndex struct {
+	byS, byO []int32
+}
+
+// headIndex returns the snapshot's head index, building it on first use; a
+// snapshot is immutable, so one build serves every probe against it.
+func (s *storeState) headIndex() *headIndex {
+	if hx := s.heads.Load(); hx != nil {
+		return hx
+	}
+	hx := &headIndex{
+		byS: slices.Clone(s.headSorted),
+		byO: slices.Clone(s.headSorted),
+	}
+	slices.SortFunc(hx.byS, func(a, b int32) int { return cmp.Or(cmp.Compare(s.triples[a].S, s.triples[b].S), cmp.Compare(a, b)) })
+	slices.SortFunc(hx.byO, func(a, b int32) int { return cmp.Or(cmp.Compare(s.triples[a].O, s.triples[b].O), cmp.Compare(a, b)) })
+	if !s.heads.CompareAndSwap(nil, hx) {
+		return s.heads.Load()
+	}
+	return hx
+}
+
+// candidates returns the head entries that can match sub: the run of its
+// bound subject, else of its bound object, else the whole head.
+func (hx *headIndex) candidates(s *storeState, sub Pattern) []int32 {
+	switch {
+	case !sub.S.IsVar:
+		return headRun(s, hx.byS, 0, sub.S.ID)
+	case !sub.O.IsVar:
+		return headRun(s, hx.byO, 2, sub.O.ID)
+	}
+	return hx.byS
+}
+
+// headRun returns the run of l, ordered by the ID at triple position pos,
+// whose ID there is id.
+func headRun(s *storeState, l []int32, pos int, id ID) []int32 {
+	i, j := 0, len(l)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if s.triples[l[h]].key()[pos] < id {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	k := i
+	for k < len(l) && s.triples[l[k]].key()[pos] == id {
+		k++
+	}
+	return l[i:k]
 }

@@ -164,15 +164,19 @@ var (
 	_ ShardedGraph = (*ShardedStore)(nil)
 )
 
-// matcher is the package-internal contract the exact evaluator needs beyond
-// Graph: candidate enumeration for a (possibly variable-substituted) pattern
-// without materialising a match list per recursion step. Only pinned views
-// implement it, so every evaluation reads one content version.
-type matcher interface {
+// Prober is a pinned view that enumerates a pattern's live matches straight
+// from its indexes: the exact evaluator's candidate source, and the index
+// probe of the operators' probe join. Only pinned views implement it, so
+// every enumeration reads one content version. A probe never builds or
+// caches a merged match list, so probing a live snapshot costs what the
+// matching index runs hold, not a merge of every source per pattern.
+type Prober interface {
 	Graph
-	// forCandidates calls f with every candidate triple for sub — a superset
-	// of the exact matches, drawn from the cheapest applicable index.
-	forCandidates(sub Pattern, f func(t Triple))
+	// Probe calls f with every live candidate triple for p — a superset of
+	// the exact matches (callers filter), drawn from the cheapest applicable
+	// index of every frozen segment and, on a live snapshot, from the head
+	// overlay's subject or object index — in no particular order.
+	Probe(p Pattern, f func(t Triple))
 }
 
 // substPattern substitutes variables of p already bound in b, yielding the
@@ -215,7 +219,7 @@ func evalOrder(g Graph, q Query) []int {
 // DedupMax keeps the maximum score per binding, and SortAnswers fixes the
 // output order.
 func Evaluate(g Graph, q Query, weights []float64) []Answer {
-	m := g.Pin().(matcher) // a pinned view pins to itself
+	m := g.Pin().(Prober) // a pinned view pins to itself
 	vs := NewVarSet(q)
 	order := evalOrder(m, q)
 	var out []Answer
@@ -232,7 +236,7 @@ func Evaluate(g Graph, q Query, weights []float64) []Answer {
 		if weights != nil && weights[pi] > 0 {
 			w = weights[pi]
 		}
-		m.forCandidates(substPattern(p, vs, b), func(t Triple) {
+		m.Probe(substPattern(p, vs, b), func(t Triple) {
 			nb, ok := bindPattern(vs, p, t, b)
 			if !ok {
 				return
@@ -258,7 +262,7 @@ func Evaluate(g Graph, q Query, weights []float64) []Answer {
 // is a distinct binding, so counting stays allocation-free; only
 // duplicate-bearing stores pay for the dedup map.
 func Count(g Graph, q Query) int {
-	m := g.Pin().(matcher) // a pinned view pins to itself
+	m := g.Pin().(Prober) // a pinned view pins to itself
 	vs := NewVarSet(q)
 	order := evalOrder(m, q)
 	if !m.HasDuplicates() {
@@ -273,7 +277,7 @@ func Count(g Graph, q Query) int {
 			return
 		}
 		p := q.Patterns[order[step]]
-		m.forCandidates(substPattern(p, vs, b), func(t Triple) {
+		m.Probe(substPattern(p, vs, b), func(t Triple) {
 			if nb, ok := bindPattern(vs, p, t, b); ok {
 				rec(step+1, nb)
 			}
@@ -291,7 +295,7 @@ func Count(g Graph, q Query) int {
 // the search: a level rewrites its binding for every candidate, and no
 // deeper level touches it, so the count allocates per level rather than per
 // derivation.
-func countDerivations(m matcher, q Query, vs *VarSet, order []int) int {
+func countDerivations(m Prober, q Query, vs *VarSet, order []int) int {
 	n := 0
 	bs := make([]Binding, len(order)+1) // bs[step]: binding entering level step
 	for i := range bs {
@@ -312,7 +316,7 @@ func countDerivations(m matcher, q Query, vs *VarSet, order []int) int {
 			n++
 			return
 		}
-		m.forCandidates(substPattern(q.Patterns[order[step]], vs, bs[step]), emits[step])
+		m.Probe(substPattern(q.Patterns[order[step]], vs, bs[step]), emits[step])
 	}
 	rec(0)
 	return n

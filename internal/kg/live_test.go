@@ -81,6 +81,22 @@ func assertGraphsAgree(t *testing.T, label string, g Graph, flat *Store) {
 		if gm, wm := g.MaxScore(p), flat.MaxScore(p); gm != wm {
 			t.Fatalf("%s pattern %v: max score %v, oracle %v", label, p, gm, wm)
 		}
+		// A probe yields the live matches — after its caller's filter —
+		// exactly: each match-list triple once, from whichever segment or
+		// head run holds it.
+		var probed []Triple
+		g.Pin().(Prober).Probe(p, func(tr Triple) {
+			if p.Matches(tr) {
+				probed = append(probed, tr)
+			}
+		})
+		var listed []Triple
+		for _, ti := range want {
+			listed = append(listed, flat.Triple(ti))
+		}
+		if !sameTripleMultiset(probed, listed) {
+			t.Fatalf("%s pattern %v: probe yields %v, match list %v", label, p, probed, listed)
+		}
 		gs, ws := NormalizedScores(g, p), NormalizedScores(flat, p)
 		for i := range gs {
 			if gs[i] != ws[i] {
@@ -104,6 +120,24 @@ func assertGraphsAgree(t *testing.T, label string, g Graph, flat *Store) {
 	if gc, wc := Count(g, q), Count(flat, q); gc != wc {
 		t.Fatalf("%s: count %d, oracle %d", label, gc, wc)
 	}
+}
+
+// sameTripleMultiset reports whether a and b hold the same triples, each as
+// often, in any order.
+func sameTripleMultiset(a, b []Triple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	n := map[Triple]int{}
+	for _, t := range a {
+		n[t]++
+	}
+	for _, t := range b {
+		if n[t]--; n[t] < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestLiveStoreMatchesRebuild drives a flat live store through an

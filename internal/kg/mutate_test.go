@@ -114,6 +114,15 @@ func assertMutatedAgree(t *testing.T, label string, g LiveGraph, flat *Store) {
 				t.Fatalf("%s pattern %v: match %d is %v, oracle %v", label, p, i, got[i], want[i])
 			}
 		}
+		var probed []Triple
+		g.Pin().(Prober).Probe(p, func(tr Triple) {
+			if p.Matches(tr) {
+				probed = append(probed, tr)
+			}
+		})
+		if !sameTripleMultiset(probed, want) {
+			t.Fatalf("%s pattern %v: probe yields %v, oracle matches %v", label, p, probed, want)
+		}
 		if gc, wc := g.Cardinality(p), flat.Cardinality(p); gc != wc {
 			t.Fatalf("%s pattern %v: cardinality %d, oracle %d", label, p, gc, wc)
 		}

@@ -39,7 +39,7 @@ type pinnedStore struct {
 	dup bool
 }
 
-var _ matcher = (*pinnedStore)(nil)
+var _ Prober = (*pinnedStore)(nil)
 
 // Dict implements Graph.
 func (ps *pinnedStore) Dict() *Dict { return ps.dict }
@@ -72,9 +72,9 @@ func (ps *pinnedStore) Cardinality(p Pattern) int { return ps.s.cardinality(p) }
 // MaxScore implements Graph: the Definition 5 normalisation constant.
 func (ps *pinnedStore) MaxScore(p Pattern) float64 { return ps.s.maxScore(p) }
 
-// forCandidates implements matcher.
-func (ps *pinnedStore) forCandidates(sub Pattern, f func(t Triple)) {
-	ps.s.forCandidates(sub, f)
+// Probe implements Prober.
+func (ps *pinnedStore) Probe(sub Pattern, f func(t Triple)) {
+	ps.s.probe(sub, f)
 }
 
 // dupFor computes a snapshot's duplicate flag across all segments.
@@ -114,7 +114,7 @@ type pinnedSharded struct {
 	merged atomic.Pointer[listCache]
 }
 
-var _ matcher = (*pinnedSharded)(nil)
+var _ Prober = (*pinnedSharded)(nil)
 var _ ShardedGraph = (*pinnedSharded)(nil)
 
 // pin captures the current directory snapshot; the embedded shard states
@@ -251,14 +251,14 @@ func (ps *pinnedSharded) mergeMatches(p Pattern) []int32 {
 	return out
 }
 
-// forCandidates implements matcher. A bound subject pins one shard; every
-// other shape unions the shards' candidate enumerations.
-func (ps *pinnedSharded) forCandidates(sub Pattern, f func(t Triple)) {
+// Probe implements Prober. A bound subject probes only the shard that owns
+// it; every other shape unions the shards' candidate enumerations.
+func (ps *pinnedSharded) Probe(sub Pattern, f func(t Triple)) {
 	if sh, ok := ps.subjectShard(sub); ok {
-		sh.forCandidates(sub, f)
+		sh.s.probe(sub, f)
 		return
 	}
 	for _, sh := range ps.shards {
-		sh.forCandidates(sub, f)
+		sh.s.probe(sub, f)
 	}
 }

@@ -135,10 +135,10 @@ func TestPinnedStoreViewsMatchPrefixStore(t *testing.T) {
 				if got, want := ps.MaxScore(p), ref.MaxScore(p); got != want {
 					t.Fatalf("%s pattern %d: max score %v want %v", label, pi, got, want)
 				}
-				// forCandidates must enumerate a superset of matches drawn
+				// Probe must enumerate a superset of matches drawn
 				// only from visible triples; exactness is pinned through the
 				// evaluator below.
-				ps.forCandidates(p, func(tr Triple) {
+				ps.Probe(p, func(tr Triple) {
 					for i := 0; i < limit; i++ {
 						if triples[i] == tr {
 							return

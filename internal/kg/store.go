@@ -185,6 +185,13 @@ type storeState struct {
 	// match lists for this snapshot (nil until the first merged lookup;
 	// dropped wholesale when the next mutation publishes a new snapshot).
 	merged atomic.Pointer[listCache]
+	// heads lazily indexes the head overlay by subject and by object for
+	// probes (nil until the first probe of a snapshot with a head).
+	heads atomic.Pointer[headIndex]
+	// killedBits lazily marks the frozen entries a pending tombstone
+	// retracts, one bit per triple index (nil until the first probe of a
+	// snapshot with tombstones).
+	killedBits atomic.Pointer[[]uint64]
 }
 
 // frozenLen reports how many leading triples the frozen segments cover.
@@ -211,6 +218,35 @@ func (s *storeState) killed(ti int32) bool {
 	}
 	w, ok := s.tombs[s.triples[ti].key()]
 	return ok && ti < w
+}
+
+// killedSet returns the snapshot's retracted frozen entries as a bitmap
+// over triple indexes, building it on first use: one pass over the pending
+// tombstones, each a key run lookup per frozen segment. A probe tests its
+// candidates against it with a load each instead of a map lookup on the
+// candidate's key, which is the larger cost once a snapshot holds
+// tombstones and a query probes thousands of candidates.
+func (s *storeState) killedSet() []uint64 {
+	if b := s.killedBits.Load(); b != nil {
+		return *b
+	}
+	b := make([]uint64, (s.frozenLen()+63)/64)
+	for k, w := range s.tombs {
+		for _, po := range [2]*postings{s.post, s.l1} {
+			if po == nil {
+				continue
+			}
+			for _, ti := range po.keyRun(k) {
+				if ti < w {
+					b[ti>>6] |= 1 << (ti & 63)
+				}
+			}
+		}
+	}
+	if !s.killedBits.CompareAndSwap(nil, &b) {
+		return *s.killedBits.Load()
+	}
+	return b
 }
 
 // filterLive drops pending-tombstone-retracted entries from a canonical

@@ -118,3 +118,40 @@ func TestNRJNAbortTerminates(t *testing.T) {
 		t.Fatal("aborted NRJN produced another entry")
 	}
 }
+
+// TestProbeJoinAbortBoundsPulls: a probe join whose left entries find no
+// match would pull its whole left side inside one Next; an abort stops it
+// within one stride of left pulls.
+func TestProbeJoinAbortBoundsPulls(t *testing.T) {
+	const n = 50 * AbortStride
+	es := make([]Entry, n)
+	for i := range es {
+		b := kg.NewBinding(2)
+		b[0] = kg.ID(1000 + i) // no subject of the store
+		es[i] = Entry{Binding: b, Score: float64(2*n - i)}
+	}
+	left := &countingStream{inner: &sliceStream{entries: es}}
+	st := dupFreeStore(t)
+	likes, _ := st.Dict().Lookup("likes")
+	p := kg.NewPattern(kg.Var("s"), kg.Const(likes), kg.Var("o"))
+	vs := kg.NewVarSet(kg.NewQuery(p))
+	for _, abort := range []bool{true, false} {
+		left.pulls = 0
+		left.inner.(*sliceStream).pos = 0
+		c := &Counter{}
+		c.SetAbort(func() bool { return abort })
+		pj := NewProbeJoin(left, map[int]bool{0: true}, st.Pin().(kg.Prober), vs, []ProbeInput{{Pattern: p, Weight: 1}}, c)
+		if out := Drain(pj); len(out) != 0 {
+			t.Fatalf("abort=%v: join of unmatched keys emitted %d results", abort, len(out))
+		}
+		if abort && left.pulls > AbortStride+1 {
+			t.Fatalf("aborted probe join pulled %d left entries (stride %d)", left.pulls, AbortStride)
+		}
+		if !abort && left.pulls != n+1 {
+			t.Fatalf("probe join pulled %d left entries, want all %d", left.pulls, n)
+		}
+		if _, ok := pj.Next(); ok {
+			t.Fatalf("abort=%v: finished probe join produced another entry", abort)
+		}
+	}
+}

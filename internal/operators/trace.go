@@ -43,6 +43,14 @@ func TraceTree(s Stream) *trace.Node {
 			}
 		}
 		return n
+	case *ProbeJoin:
+		n := v.stats
+		if n != nil && n.Children == nil {
+			if c := TraceTree(v.left); c != nil {
+				n.Children = append(n.Children, c)
+			}
+		}
+		return n
 	case *NRJN:
 		n := v.stats
 		if n != nil && n.Children == nil {
@@ -88,6 +96,8 @@ func nodeOf(s Stream) *trace.Node {
 	case *IncrementalMerge:
 		return v.stats
 	case *RankJoin:
+		return v.stats
+	case *ProbeJoin:
 		return v.stats
 	case *NRJN:
 		return v.stats

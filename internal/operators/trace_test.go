@@ -23,6 +23,26 @@ func traceFixture(t testing.TB, c *Counter) (*kg.Store, *RankJoin) {
 	return st, NewRankJoin(l, r, []int{0}, c)
 }
 
+// probeFixture is traceFixture with the second pattern probed: a ProbeJoin
+// of the type scan with the likes pattern and one relaxation of it.
+func probeFixture(t testing.TB, c *Counter) *ProbeJoin {
+	t.Helper()
+	st := dupFreeStore(t)
+	d := st.Dict()
+	ty, _ := d.Lookup("type")
+	likes, _ := d.Lookup("likes")
+	a, _ := d.Lookup("A")
+	p1 := kg.NewPattern(kg.Var("s"), kg.Const(ty), kg.Var("o"))
+	p2 := kg.NewPattern(kg.Var("s"), kg.Const(likes), kg.Var("o2"))
+	vs := kg.NewVarSet(kg.NewQuery(p1, p2))
+	l := NewListScan(st, vs, p1, 1, 0, c)
+	inputs := []ProbeInput{
+		{Pattern: p2, Weight: 1},
+		{Pattern: kg.NewPattern(kg.Var("s"), kg.Const(ty), kg.Const(a)), Weight: 0.5, Mask: 2},
+	}
+	return NewProbeJoin(l, PatternBoundVars(vs, p1), st.Pin().(kg.Prober), vs, inputs, c)
+}
+
 // TestTracingBitIdentity is the oracle the tentpole stands on: the same plan
 // drained with tracing on and with tracing off must produce byte-identical
 // answer sequences — tracing observes the execution, never steers it.
@@ -80,6 +100,28 @@ func TestTracingBitIdentity(t *testing.T) {
 	if s.Created < s.Emits {
 		t.Fatalf("join created %d < emitted %d", s.Created, s.Emits)
 	}
+
+	// The same oracle over a probe plan.
+	pPlain, pTraced := probeFixture(t, plain), probeFixture(t, traced)
+	want, got = Drain(pPlain), Drain(pTraced)
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("probe drain: traced %d entries, untraced %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Score != want[i].Score || got[i].Relaxed != want[i].Relaxed || got[i].Binding.Compare(want[i].Binding) != 0 {
+			t.Fatalf("probe entry %d diverges: traced %+v untraced %+v", i, got[i], want[i])
+		}
+	}
+	if n := TraceTree(pPlain); n != nil {
+		t.Fatalf("untraced probe plan built trace nodes: %+v", n)
+	}
+	s = TraceTree(pTraced).Snapshot()
+	if s.Op != "ProbeJoin" || len(s.Children) != 1 || s.Children[0].Op != "ListScan" {
+		t.Fatalf("probe tree shape: %+v", s)
+	}
+	if s.Emits != int64(len(want)) || s.Pulls == 0 || s.Probes == 0 || s.Created <= s.Emits {
+		t.Fatalf("probe join stats: %+v", s)
+	}
 }
 
 // TestTraceDisabledZeroAllocs extends the repo's standing alloc guard to the
@@ -123,6 +165,14 @@ func TestTraceDisabledZeroAllocs(t *testing.T) {
 	Drain(join)
 	if TraceTree(join) != nil {
 		t.Fatal("untraced join pipeline built trace nodes")
+	}
+	probe := probeFixture(t, c)
+	if probe.stats != nil {
+		t.Fatal("untraced probe join carries a stats node")
+	}
+	Drain(probe)
+	if TraceTree(probe) != nil {
+		t.Fatal("untraced probe pipeline built trace nodes")
 	}
 }
 

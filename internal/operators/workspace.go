@@ -11,8 +11,8 @@ import (
 
 // Workspace hands out the slabs one query execution's operators grow: each
 // rank-join side's entry slab and chain links, the result queue's slab and
-// index heap, every keyTab's slots, and the binding arenas' chunks and chunk
-// lists. Its free lists are keyed by power-of-two size class, so a query
+// index heap, every keyTab's slots, the binding arenas' chunks and chunk
+// lists, and each probe join's candidate table and cursors. Its free lists are keyed by power-of-two size class, so a query
 // reuses what the previous query on the same workspace grew instead of
 // regrowing it from empty.
 //
@@ -32,6 +32,8 @@ type Workspace struct {
 	slots  slabPool[keySlot]
 	ids    slabPool[kg.ID]
 	chunks slabPool[[]kg.ID]
+	cands  slabPool[probeCand]
+	curs   slabPool[probeCursor]
 }
 
 // The pool accessors are nil-safe: a nil workspace yields a nil pool, whose
@@ -69,6 +71,20 @@ func (w *Workspace) chunkPool() *slabPool[[]kg.ID] {
 		return nil
 	}
 	return &w.chunks
+}
+
+func (w *Workspace) candPool() *slabPool[probeCand] {
+	if w == nil {
+		return nil
+	}
+	return &w.cands
+}
+
+func (w *Workspace) cursorPool() *slabPool[probeCursor] {
+	if w == nil {
+		return nil
+	}
+	return &w.curs
 }
 
 // slabClasses bounds the pooled sizes; a larger slab bypasses the pool.
@@ -197,4 +213,6 @@ func (w *Workspace) reclaim() {
 	w.slots.release()
 	w.ids.release()
 	w.chunks.release()
+	w.cands.release()
+	w.curs.release()
 }

@@ -39,7 +39,7 @@ const maxTrajectory = 32
 // executing goroutine and read by the trace consumer, hence atomic.
 type Node struct {
 	// Op names the operator (ListScan, ShardedListScan, IncrementalMerge,
-	// RankJoin, NRJN, AnswerScan, Prefetch).
+	// RankJoin, ProbeJoin, NRJN, AnswerScan, Prefetch).
 	Op string
 	// Detail renders the operator's pattern or configuration (e.g. the triple
 	// pattern a scan covers, with its relaxation weight).
@@ -58,6 +58,7 @@ type Node struct {
 	dedup      atomic.Int64 // entries suppressed by duplicate elimination
 	abortPolls atomic.Int64 // cancellation-hook polls (AbortStride boundaries)
 	rescans    atomic.Int64 // inner-input restarts (NRJN)
+	probes     atomic.Int64 // index probes, one per distinct probe key (ProbeJoin)
 	arenaBytes atomic.Int64 // slab-arena bytes backing emitted bindings
 
 	mu        sync.Mutex
@@ -113,6 +114,13 @@ func (n *Node) AbortPoll() {
 func (n *Node) Rescan() {
 	if n != nil {
 		n.rescans.Add(1)
+	}
+}
+
+// Probe records one index probe.
+func (n *Node) Probe() {
+	if n != nil {
+		n.probes.Add(1)
 	}
 }
 
@@ -177,6 +185,7 @@ type NodeStats struct {
 	DedupDropped    int64        `json:"dedup_dropped,omitempty"`
 	AbortPolls      int64        `json:"abort_polls,omitempty"`
 	Rescans         int64        `json:"rescans,omitempty"`
+	Probes          int64        `json:"probes,omitempty"`
 	ArenaBytes      int64        `json:"arena_bytes,omitempty"`
 	TopScore        float64      `json:"top_score,omitempty"`
 	FinalBound      *float64     `json:"final_bound,omitempty"`
@@ -201,6 +210,7 @@ func (n *Node) Snapshot() *NodeStats {
 		DedupDropped: n.dedup.Load(),
 		AbortPolls:   n.abortPolls.Load(),
 		Rescans:      n.rescans.Load(),
+		Probes:       n.probes.Load(),
 		ArenaBytes:   n.arenaBytes.Load(),
 	}
 	n.mu.Lock()
@@ -246,6 +256,7 @@ func (n *Node) restore(s *NodeStats) {
 	n.dedup.Store(s.DedupDropped)
 	n.abortPolls.Store(s.AbortPolls)
 	n.rescans.Store(s.Rescans)
+	n.probes.Store(s.Probes)
 	n.arenaBytes.Store(s.ArenaBytes)
 	n.mu.Lock()
 	n.topScore = s.TopScore
@@ -337,6 +348,7 @@ func renderNode(b *strings.Builder, n *NodeStats, prefix string, last bool) {
 		{"dedup_dropped", n.DedupDropped},
 		{"abort_polls", n.AbortPolls},
 		{"rescans", n.Rescans},
+		{"probes", n.Probes},
 		{"arena_bytes", n.ArenaBytes},
 	} {
 		if f.v != 0 {

@@ -152,13 +152,13 @@ func (f *Feed) ReadAfter(after uint64, maxBytes int) ([]Record, error) {
 			// this position.
 			break
 		}
-		_, _, err := scanSegment(f.fs, seg.name, seg.first, func(r Record) {
-			if r.Seq != next || bytes >= maxBytes {
-				return
-			}
+		// Records before next are verified but not decoded, and the scan
+		// stops once the batch is full, so a pull costs about what it ships.
+		_, _, err := scanSegment(f.fs, seg.name, seg.first, next, func(r Record) bool {
 			out = append(out, r)
 			bytes += recordSize(r)
 			next++
+			return bytes < maxBytes
 		})
 		if err != nil {
 			// The segment vanished mid-read: a checkpoint truncated it. If we

@@ -292,6 +292,45 @@ func TestFeedCaughtUpReadAfterAllocs(t *testing.T) {
 	}
 }
 
+// A lagging pull costs what it ships: one record behind on a 700-record
+// segment, ReadAfter verifies the records before the position without
+// decoding them, so it allocates about the one record it returns — not every
+// earlier record's strings. The log lives on disk because MemFS.Open copies
+// the whole file per open.
+func TestFeedLaggingReadAfterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const n = 700
+	fs, err := DirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	initManifest(t, fs, 0)
+	l, _, err := Open(fs, Options{Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < n; i++ {
+		if err := l.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed := NewFeed(fs, l)
+	var shipped int
+	per := allocBytesPerRun(100, func() {
+		recs, err := feed.ReadAfter(n-1, 1<<20)
+		if err != nil || len(recs) != 1 || recs[0].Seq != n {
+			t.Fatalf("ReadAfter(%d) = %d records, %v; want seq %d", n-1, len(recs), err, n)
+		}
+		shipped = recordSize(recs[0])
+	})
+	if limit := float64(2*shipped + 1024); per > limit {
+		t.Errorf("ReadAfter one record behind allocates %.0f B, want at most %.0f (2x the %d-byte record + 1 KiB)", per, limit, shipped)
+	}
+}
+
 // A scan borrows its read buffer: reading a segment allocates about what the
 // records it delivers need, not a fresh buffer per call.
 func TestReadRecordsAllocs(t *testing.T) {

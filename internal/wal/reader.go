@@ -3,6 +3,7 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"io"
 	"slices"
@@ -27,7 +28,7 @@ func ReadRecords(r io.Reader, first uint64, fn func(Record) error) (int, error) 
 	fr := frameReaders.Get().(*frameReader)
 	fr.br.Reset(r)
 	defer fr.release()
-	return walkFrames(fr.next, first, fn)
+	return walkFrames(fr.next, first, 0, fn)
 }
 
 // ParseRecords is ReadRecords over bytes already in memory: it walks data in
@@ -46,14 +47,17 @@ func ParseRecords(data []byte, first uint64, fn func(Record) error) (int, error)
 		p := data[8 : 8+plen]
 		data = data[8+plen:]
 		return p, crc, true
-	}, first, fn)
+	}, first, 0, fn)
 }
 
 // walkFrames applies the torn-tail rule to the frames next yields: each
 // payload must match its CRC, parse, and carry the expected sequence number,
 // or the walk stops there. next reports ok=false at a torn or implausible
-// frame (and at the clean end).
-func walkFrames(next func() (payload []byte, crc uint32, ok bool), first uint64, fn func(Record) error) (int, error) {
+// frame (and at the clean end). Records below sequence number from are
+// checked the same way but neither decoded into a Record nor delivered, so
+// a reader positioned deep into a segment pays no allocation for the records
+// it skips.
+func walkFrames(next func() (payload []byte, crc uint32, ok bool), first, from uint64, fn func(Record) error) (int, error) {
 	n := 0
 	expect := first
 	for {
@@ -61,20 +65,23 @@ func walkFrames(next func() (payload []byte, crc uint32, ok bool), first uint64,
 		if !ok || crc32.Checksum(payload, castagnoli) != crc {
 			return n, nil // end, torn frame or corrupt payload
 		}
-		rec, err := parsePayload(payload)
+		f, err := splitPayload(payload)
 		if err != nil {
 			return n, nil // CRC-valid but structurally wrong — treat as corrupt
 		}
-		if expect != 0 && rec.Seq != expect {
+		if expect != 0 && f.seq != expect {
 			return n, nil // sequence break — the rest is unreachable
 		}
-		if err := fn(rec); err != nil {
-			return n, err
-		}
-		n++
 		if expect != 0 {
 			expect++
 		}
+		if f.seq < from {
+			continue
+		}
+		if err := fn(f.record()); err != nil {
+			return n, err
+		}
+		n++
 	}
 }
 
@@ -136,20 +143,34 @@ func (fr *frameReader) next() ([]byte, uint32, bool) {
 	return p, crc, true
 }
 
-// scanSegment reads one segment file, calling fn per valid record. It
-// returns the sequence number of the last valid record (0 if none) and the
-// byte size of the valid prefix.
-func scanSegment(fsys FS, name string, first uint64, fn func(Record)) (last uint64, size int64, err error) {
+// errStopScan ends a segment scan whose caller has what it needs.
+var errStopScan = errors.New("wal: scan stopped")
+
+// scanSegment reads one segment file, calling fn per valid record from
+// sequence number from on (0 for every record) until fn returns false;
+// records before from are validated but not decoded. It returns the
+// sequence number of the last record delivered (0 if none) and the byte size
+// of the records delivered — the valid prefix when from is 0 and fn never
+// stops the scan.
+func scanSegment(fsys FS, name string, first, from uint64, fn func(Record) bool) (last uint64, size int64, err error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	_, err = ReadRecords(f, first, func(r Record) error {
+	fr := frameReaders.Get().(*frameReader)
+	fr.br.Reset(f)
+	defer fr.release()
+	_, err = walkFrames(fr.next, first, from, func(r Record) error {
 		last = r.Seq
 		size += int64(recordSize(r))
-		fn(r)
+		if !fn(r) {
+			return errStopScan
+		}
 		return nil
 	})
+	if err == errStopScan {
+		err = nil
+	}
 	return last, size, err
 }

@@ -107,38 +107,63 @@ func validRecord(r Record) error {
 	return nil
 }
 
-// parsePayload decodes a CRC-verified payload into a Record. Structural
-// errors (short fields, oversized terms, unknown kinds, invalid scores) are
-// corruption from the reader's point of view.
-func parsePayload(p []byte) (Record, error) {
-	var r Record
+// payloadFields is a CRC-verified payload split into its fields in place:
+// the terms alias the payload, so splitting allocates nothing.
+type payloadFields struct {
+	seq   uint64
+	kind  byte
+	terms [3][]byte
+	score float64
+}
+
+// splitPayload checks a CRC-verified payload's structure and splits it into
+// its fields. Structural errors (short fields, oversized terms, unknown
+// kinds, invalid scores) are corruption from the reader's point of view.
+func splitPayload(p []byte) (f payloadFields, err error) {
 	if len(p) < 8+1 {
-		return r, fmt.Errorf("wal: payload truncated (%d bytes)", len(p))
+		return f, fmt.Errorf("wal: payload truncated (%d bytes)", len(p))
 	}
-	r.Seq = binary.LittleEndian.Uint64(p)
-	r.Kind = p[8]
+	f.seq = binary.LittleEndian.Uint64(p)
+	f.kind = p[8]
 	p = p[9:]
-	for _, dst := range [3]*string{&r.S, &r.P, &r.O} {
+	for i := range f.terms {
 		if len(p) < 4 {
-			return r, fmt.Errorf("wal: term length truncated")
+			return f, fmt.Errorf("wal: term length truncated")
 		}
 		l := binary.LittleEndian.Uint32(p)
 		p = p[4:]
 		if l > MaxTermLen {
-			return r, fmt.Errorf("wal: term length %d exceeds bound", l)
+			return f, fmt.Errorf("wal: term length %d exceeds bound", l)
 		}
 		if uint32(len(p)) < l {
-			return r, fmt.Errorf("wal: term bytes truncated")
+			return f, fmt.Errorf("wal: term bytes truncated")
 		}
-		*dst = string(p[:l])
+		f.terms[i] = p[:l]
 		p = p[l:]
 	}
 	if len(p) != 8 {
-		return r, fmt.Errorf("wal: payload tail is %d bytes, want 8", len(p))
+		return f, fmt.Errorf("wal: payload tail is %d bytes, want 8", len(p))
 	}
-	r.Score = math.Float64frombits(binary.LittleEndian.Uint64(p))
-	if err := validRecord(r); err != nil {
-		return r, err
+	f.score = math.Float64frombits(binary.LittleEndian.Uint64(p))
+	// The terms are bounded above, so only kind and score remain to check.
+	return f, validRecord(Record{Kind: f.kind, Score: f.score})
+}
+
+// record builds the Record the fields encode, copying the terms out.
+func (f *payloadFields) record() Record {
+	return Record{
+		Seq: f.seq, Kind: f.kind,
+		S: string(f.terms[0]), P: string(f.terms[1]), O: string(f.terms[2]),
+		Score: f.score,
 	}
-	return r, nil
+}
+
+// parsePayload decodes a CRC-verified payload into a Record (see
+// splitPayload for what counts as corruption).
+func parsePayload(p []byte) (Record, error) {
+	f, err := splitPayload(p)
+	if err != nil {
+		return Record{}, err
+	}
+	return f.record(), nil
 }

@@ -273,10 +273,11 @@ func Open(fsys FS, opts Options) (*Log, *Recovery, error) {
 			}
 			return finishOpen(fsys, opts, rec, kept, prev, unlock)
 		}
-		last, size, serr := scanSegment(fsys, seg.name, seg.first, func(r Record) {
+		last, size, serr := scanSegment(fsys, seg.name, seg.first, 0, func(r Record) bool {
 			if r.Seq > m.SnapshotSeq {
 				rec.Records = append(rec.Records, r)
 			}
+			return true
 		})
 		if serr != nil {
 			return fail(serr)
