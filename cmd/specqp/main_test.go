@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -97,7 +96,7 @@ func TestIngestCLIMatchesPreloaded(t *testing.T) {
 			}
 			kept = append(kept, l)
 		}
-		return memObjects.ReplaceAllString(strings.Join(kept, "\n"), "")
+		return strings.Join(kept, "\n")
 	}
 	want := stripHeaders(runCLI(t, cliArgs()))
 	ingestArgs := func(extra ...string) []string {
@@ -122,18 +121,13 @@ func TestIngestCLIMatchesPreloaded(t *testing.T) {
 	}
 }
 
-// memObjects matches the run-dependent part of the metrics header: sharded
-// execution prefetches entries the top-k cutoff may never consume, so the
-// memory-object count is a scheduling-dependent upper bound there.
-var memObjects = regexp.MustCompile(`, \d+ memory objects`)
-
 // TestShardedCLIMatchesFlat runs the same fixture through a sharded engine
-// and requires identical ranked answers and answer counts — the CLI-level
-// face of the bit-identical-answers guarantee.
+// and requires byte-identical output: ranked answers, answer counts and
+// memory objects — the CLI-level face of the bit-identical guarantee.
 func TestShardedCLIMatchesFlat(t *testing.T) {
-	flat := memObjects.ReplaceAllString(runCLI(t, cliArgs()), "")
+	flat := runCLI(t, cliArgs())
 	for _, shards := range []string{"2", "5", "-1"} {
-		sharded := memObjects.ReplaceAllString(runCLI(t, cliArgs("-shards", shards)), "")
+		sharded := runCLI(t, cliArgs("-shards", shards))
 		if sharded != flat {
 			t.Fatalf("-shards=%s changed the output.\n--- sharded ---\n%s\n--- flat ---\n%s", shards, sharded, flat)
 		}
@@ -166,9 +160,8 @@ func splitFixture(t *testing.T, dir string) (base, stream string) {
 	return base, stream
 }
 
-// stripVarHeaders drops the load/ingest/delete/save/recovery headers and the
-// scheduling-dependent memory-object counts; the ranked answers below must
-// match byte-for-byte.
+// stripVarHeaders drops the load/ingest/delete/save/recovery headers; the
+// metrics lines and ranked answers below must match byte-for-byte.
 func stripVarHeaders(out string) string {
 	var kept []string
 	for _, l := range strings.Split(out, "\n") {
@@ -179,7 +172,7 @@ func stripVarHeaders(out string) string {
 		}
 		kept = append(kept, l)
 	}
-	return memObjects.ReplaceAllString(strings.Join(kept, "\n"), "")
+	return strings.Join(kept, "\n")
 }
 
 // TestSaveReloadCLIMatches pins -save end to end: ingest half the fixture

@@ -100,7 +100,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 // shared structure at once — recurring shapes share the statistics catalog,
 // S+O-bound and repeated-variable patterns exercise each shard's residual
 // single-flight cache plus the sharded store's merged-list cache, and plain
-// patterns run through the per-shard merge scans and leg prefetchers. Every
+// patterns run through the per-shard merge scans. Every
 // batch's answers must equal the sequential unsharded reference.
 func TestShardedQueryBatchHammer(t *testing.T) {
 	st := NewStore()

@@ -23,7 +23,6 @@ import (
 	"context"
 	"maps"
 	"sort"
-	"sync"
 	"time"
 
 	"specqp/internal/kg"
@@ -68,21 +67,13 @@ type RunOpts struct {
 	Trace bool
 }
 
-// Executor runs plans against one store + rule set.
+// Executor runs plans against one store + rule set. A Run executes on its
+// caller's goroutine from building the operator tree to the last pull, so a
+// query's answers and MemoryObjects are fixed by (query, k, plan) whatever
+// the store's layout. Concurrent Runs share only the store and the rule set.
 type Executor struct {
 	Store kg.Graph
 	Rules *relax.RuleSet
-	// Parallel executes independent join legs concurrently: legs are
-	// described on separate goroutines (cardinality estimates and
-	// chain-relaxation materialisation overlap), and when more than one leg
-	// is streamed rather than probed, each leg stream — built afterwards,
-	// one leg after another — is wrapped in an order-preserving Prefetch so
-	// leg production overlaps the rank join's consumption. A probed leg has
-	// no stream to prefetch. Answers are bit-identical to sequential
-	// execution — Prefetch is observationally identical to its inner stream —
-	// but Result.MemoryObjects may exceed the sequential count: prefetched
-	// entries the top-k cutoff never consumes are still created and counted.
-	Parallel bool
 }
 
 // New returns an Executor.
@@ -169,46 +160,27 @@ func (ex *Executor) open(g kg.Graph, vs *kg.VarSet, l *leg, c *operators.Counter
 }
 
 // buildLegs builds the plan's legs over snapshot g in join order: join
-// group first, then singletons, each by ascending cardinality.
+// group first, then singletons, each by ascending cardinality. Traced
+// executions also stamp each leg's construction wall time; the untraced path
+// takes no time.Now calls.
 func (ex *Executor) buildLegs(g kg.Graph, p planner.Plan, vs *kg.VarSet, c *operators.Counter) []leg {
-	legs := make([]leg, len(p.JoinGroup)+len(p.Singletons))
-	build := func(slot int, patIdx int, single bool) {
-		legs[slot] = ex.buildLeg(g, p.Query, vs, patIdx, single, c)
-	}
-	if c.Tracing() {
-		// Traced executions additionally stamp each leg's construction wall
-		// time on its root trace node; the untraced path takes no time.Now
-		// calls and builds the exact same closures.
-		inner := build
-		build = func(slot int, patIdx int, single bool) {
-			t0 := time.Now()
-			inner(slot, patIdx, single)
+	nj := len(p.JoinGroup)
+	legs := make([]leg, nj+len(p.Singletons))
+	tracing := c.Tracing()
+	for slot := range legs {
+		i, single := 0, slot >= nj
+		if single {
+			i = p.Singletons[slot-nj]
+		} else {
+			i = p.JoinGroup[slot]
+		}
+		var t0 time.Time
+		if tracing {
+			t0 = time.Now()
+		}
+		legs[slot] = ex.buildLeg(g, p.Query, vs, i, single, c)
+		if tracing {
 			legs[slot].buildUS = time.Since(t0).Microseconds()
-		}
-	}
-	if ex.Parallel && len(legs) > 1 {
-		var wg sync.WaitGroup
-		for slot, i := range p.JoinGroup {
-			wg.Add(1)
-			go func(slot, i int) {
-				defer wg.Done()
-				build(slot, i, false)
-			}(slot, i)
-		}
-		for off, i := range p.Singletons {
-			wg.Add(1)
-			go func(slot, i int) {
-				defer wg.Done()
-				build(slot, i, true)
-			}(len(p.JoinGroup)+off, i)
-		}
-		wg.Wait()
-	} else {
-		for slot, i := range p.JoinGroup {
-			build(slot, i, false)
-		}
-		for off, i := range p.Singletons {
-			build(len(p.JoinGroup)+off, i, true)
 		}
 	}
 
@@ -222,11 +194,9 @@ func (ex *Executor) buildLegs(g kg.Graph, p planner.Plan, vs *kg.VarSet, c *oper
 }
 
 // buildStream assembles the operator tree for a plan and returns the root
-// stream plus a stop function releasing any background prefetchers (call it
-// once the stream will no longer be consumed). The join order is join group
-// first (cheapest pattern first), then singletons by ascending cardinality —
-// a deterministic left-deep order that keeps intermediate results small,
-// independent of construction concurrency.
+// stream. The join order is join group first (cheapest pattern first), then
+// singletons by ascending cardinality — a deterministic left-deep order that
+// keeps intermediate results small.
 //
 // Each leg after the first joins the accumulated left side through a
 // ProbeJoin when it is a triple pattern plus non-chain relaxations sharing a
@@ -237,30 +207,27 @@ func (ex *Executor) buildLegs(g kg.Graph, p planner.Plan, vs *kg.VarSet, c *oper
 // same operators. The two joins agree unless a relaxation replaces a join
 // variable with a constant: a RankJoin then joins nothing under the unbound
 // variable, where a ProbeJoin treats it as unconstrained, as Naive does.
-func (ex *Executor) buildStream(p planner.Plan, c *operators.Counter) (operators.Stream, *kg.VarSet, func()) {
+func (ex *Executor) buildStream(p planner.Plan, c *operators.Counter) operators.Stream {
 	vs := kg.NewVarSet(p.Query)
 	// One pinned snapshot serves the entire operator tree: every scan,
 	// probe, cardinality estimate and normalisation constant — across all
-	// legs, even when legs are built concurrently — reads the same content
-	// version, so a query racing live inserts answers for exactly one store
-	// state.
+	// legs — reads the same content version, so a query racing live
+	// inserts answers for exactly one store state.
 	g := ex.Store.Pin()
 	legs := ex.buildLegs(g, p, vs, c)
 	if len(legs) == 0 {
-		return operators.LeftDeep(nil, nil, c), vs, func() {}
+		return operators.LeftDeep(nil, nil, c)
 	}
 
 	tracing := c.Tracing()
 	prober := g.(kg.Prober) // every pinned view is a Prober
-	probed := make([]bool, len(legs))
-	leftVars := make([]map[int]bool, len(legs)) // leftVars[i]: what legs[:i] bind
-	var streams []operators.Stream
-	vars := map[int]bool{}
+	var root operators.Stream
+	vars := map[int]bool{} // what the legs folded so far bind
 	for i := range legs {
 		l := &legs[i]
-		leftVars[i] = maps.Clone(vars)
 		if i > 0 && l.inputs != nil && len(operators.JoinVars(vars, l.vars)) > 0 {
-			probed[i] = true
+			root = operators.NewProbeJoin(root, vars, prober, vs, l.inputs, c)
+			operators.StampBuild(root, l.buildUS)
 		} else {
 			var t0 time.Time
 			if tracing {
@@ -270,29 +237,15 @@ func (ex *Executor) buildStream(p planner.Plan, c *operators.Counter) (operators
 			if tracing {
 				operators.StampBuild(l.stream, l.buildUS+time.Since(t0).Microseconds())
 			}
-			streams = append(streams, l.stream)
+			if i == 0 {
+				root = l.stream
+			} else {
+				root = operators.NewRankJoin(root, l.stream, operators.JoinVars(vars, l.vars), c)
+			}
 		}
 		maps.Copy(vars, l.vars)
 	}
-	stop := func() {}
-	if ex.Parallel && len(streams) > 1 {
-		stop = operators.PrefetchAll(streams, operators.DefaultPrefetchDepth)
-	}
-
-	// PrefetchAll wraps streams in place; fold the tree over the wrapped
-	// streams in leg order.
-	root, next := streams[0], 1
-	for i := 1; i < len(legs); i++ {
-		l := &legs[i]
-		if probed[i] {
-			root = operators.NewProbeJoin(root, leftVars[i], prober, vs, l.inputs, c)
-			operators.StampBuild(root, l.buildUS)
-		} else {
-			root = operators.NewRankJoin(root, streams[next], operators.JoinVars(leftVars[i], l.vars), c)
-			next++
-		}
-	}
-	return root, vs, stop
+	return root
 }
 
 // Run executes plan p and returns its top-k answers (k from the plan). It
@@ -312,24 +265,16 @@ func (ex *Executor) buildStream(p planner.Plan, c *operators.Counter) (operators
 // and stay valid after the workspace is reused by a later query.
 func (ex *Executor) Run(ctx context.Context, p planner.Plan, o RunOpts) (Result, error) {
 	c := &operators.Counter{}
-	// Installed before buildStream so the prefetch goroutines observe the
-	// hook through their creation edge; ctx.Err is safe for concurrent use.
 	c.SetAbort(func() bool { return ctx.Err() != nil })
 	if o.Trace {
-		// Also before buildStream: operators allocate their trace nodes at
-		// construction, observing the flag through the same edge.
+		// Before buildStream: operators allocate their trace nodes at
+		// construction.
 		c.EnableTracing()
 	}
 	ws := operators.AcquireWorkspace()
 	c.SetWorkspace(ws)
 	start := time.Now()
-	root, _, stop := ex.buildStream(p, c)
-	// Deferred as well as called below: a panic out of the drain must still
-	// stop the legs' prefetch goroutines, or each one stays blocked on its
-	// buffer send for the process lifetime. Such a panic skips ws.Release, so
-	// the workspace is dropped rather than reused while something may still
-	// reference it.
-	defer stop()
+	root := ex.buildStream(p, c)
 
 	// p.K only bounds the answer count (a caller may pass math.MaxInt), so
 	// presize modestly and let append grow.
@@ -373,7 +318,6 @@ func (ex *Executor) Run(ctx context.Context, p planner.Plan, o RunOpts) (Result,
 		ExecTime:      time.Since(start),
 		Plan:          p,
 	}
-	stop()
 	if o.Trace {
 		res.Trace = &trace.Trace{
 			K:             p.K,

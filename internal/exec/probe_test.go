@@ -311,9 +311,8 @@ func sameAsNaive(t *testing.T, label string, got []operators.Entry, k int, ref m
 // a ProbeJoin.
 func probeCores(ex *Executor, p planner.Plan) (got, want []operators.Entry, gotObjs, wantObjs int64, probes int) {
 	var cg, cw operators.Counter
-	root, _, stop := ex.buildStream(p, &cg)
+	root := ex.buildStream(p, &cg)
 	got = operators.DrainK(root, p.K)
-	stop()
 	if _, ok := root.(*operators.ProbeJoin); ok {
 		probes = 1
 	}

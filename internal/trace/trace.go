@@ -11,10 +11,8 @@
 // 0 allocs/op and bit-identical to untraced execution (the alloc guards in
 // internal/operators enforce it).
 //
-// When enabled, counters are atomics and the bound trajectory is mutex
-// guarded: join legs run under concurrent prefetch goroutines, and a trace
-// may be serialised while a cancelled leg's goroutine is still winding down.
-// The package deliberately imports nothing from the engine — operators, exec
+// A query's operators run on one goroutine and the trace is read only after
+// the drain, so counters are plain integers. The package deliberately imports nothing from the engine — operators, exec
 // and the server all depend on it, never the reverse.
 package trace
 
@@ -23,8 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // maxTrajectory bounds the bound-trajectory sample count per operator. When
@@ -34,12 +30,12 @@ import (
 const maxTrajectory = 32
 
 // Node is one operator's statistics in the plan-shaped trace tree. Exported
-// scalar fields are written once, single-threaded (at construction or at
-// tree-assembly time); the unexported counters are written on the operator's
-// executing goroutine and read by the trace consumer, hence atomic.
+// scalar fields are written once (at construction or at tree-assembly time);
+// the unexported counters are written by the operator as it executes and
+// read through Snapshot once the execution is over.
 type Node struct {
 	// Op names the operator (ListScan, ShardedListScan, IncrementalMerge,
-	// RankJoin, ProbeJoin, NRJN, AnswerScan, Prefetch).
+	// RankJoin, ProbeJoin, NRJN, AnswerScan).
 	Op string
 	// Detail renders the operator's pattern or configuration (e.g. the triple
 	// pattern a scan covers, with its relaxation weight).
@@ -52,16 +48,15 @@ type Node struct {
 	// Children are the operator's inputs, in plan order.
 	Children []*Node
 
-	pulls      atomic.Int64 // input entries pulled / candidates examined
-	emits      atomic.Int64 // entries emitted downstream
-	created    atomic.Int64 // answer objects created (join results enqueued)
-	dedup      atomic.Int64 // entries suppressed by duplicate elimination
-	abortPolls atomic.Int64 // cancellation-hook polls (AbortStride boundaries)
-	rescans    atomic.Int64 // inner-input restarts (NRJN)
-	probes     atomic.Int64 // index probes, one per distinct probe key (ProbeJoin)
-	arenaBytes atomic.Int64 // slab-arena bytes backing emitted bindings
+	pulls      int64 // input entries pulled / candidates examined
+	emits      int64 // entries emitted downstream
+	created    int64 // answer objects created (join results enqueued)
+	dedup      int64 // entries suppressed by duplicate elimination
+	abortPolls int64 // cancellation-hook polls (AbortStride boundaries)
+	rescans    int64 // inner-input restarts (NRJN)
+	probes     int64 // index probes, one per distinct probe key (ProbeJoin)
+	arenaBytes int64 // slab-arena bytes backing emitted bindings
 
-	mu        sync.Mutex
 	topScore  float64
 	boundSet  bool
 	lastBound float64
@@ -77,14 +72,14 @@ func NewNode(op string) *Node { return &Node{Op: op} }
 // mutator below).
 func (n *Node) Pull() {
 	if n != nil {
-		n.pulls.Add(1)
+		n.pulls++
 	}
 }
 
 // Emit records one emission.
 func (n *Node) Emit() {
 	if n != nil {
-		n.emits.Add(1)
+		n.emits++
 	}
 }
 
@@ -92,54 +87,51 @@ func (n *Node) Emit() {
 // the corner bound proves it final).
 func (n *Node) Created() {
 	if n != nil {
-		n.created.Add(1)
+		n.created++
 	}
 }
 
 // DedupDrop records one entry suppressed by duplicate elimination.
 func (n *Node) DedupDrop() {
 	if n != nil {
-		n.dedup.Add(1)
+		n.dedup++
 	}
 }
 
 // AbortPoll records one cancellation-hook poll.
 func (n *Node) AbortPoll() {
 	if n != nil {
-		n.abortPolls.Add(1)
+		n.abortPolls++
 	}
 }
 
 // Rescan records one inner-input restart.
 func (n *Node) Rescan() {
 	if n != nil {
-		n.rescans.Add(1)
+		n.rescans++
 	}
 }
 
 // Probe records one index probe.
 func (n *Node) Probe() {
 	if n != nil {
-		n.probes.Add(1)
+		n.probes++
 	}
 }
 
 // SetArenaBytes records the operator's current slab-arena footprint.
 func (n *Node) SetArenaBytes(b int64) {
 	if n != nil {
-		n.arenaBytes.Store(b)
+		n.arenaBytes = b
 	}
 }
 
 // SetTop records the operator's initial top-score bound (write-once, at
 // construction or priming).
 func (n *Node) SetTop(v float64) {
-	if n == nil {
-		return
+	if n != nil {
+		n.topScore = v
 	}
-	n.mu.Lock()
-	n.topScore = v
-	n.mu.Unlock()
 }
 
 // SampleBound records the operator's bound (or certificate) as observed at an
@@ -150,7 +142,6 @@ func (n *Node) SampleBound(b float64) {
 	if n == nil {
 		return
 	}
-	n.mu.Lock()
 	n.lastBound = b
 	n.boundSet = true
 	if n.stride == 0 {
@@ -169,7 +160,6 @@ func (n *Node) SampleBound(b float64) {
 		}
 		n.traj = append(n.traj, b)
 	}
-	n.mu.Unlock()
 }
 
 // NodeStats is the serialisable snapshot of one node, also the JSON shape of
@@ -194,7 +184,6 @@ type NodeStats struct {
 }
 
 // Snapshot captures the node (and its subtree) as plain serialisable values.
-// Safe to call while operator goroutines are still winding down.
 func (n *Node) Snapshot() *NodeStats {
 	if n == nil {
 		return nil
@@ -204,23 +193,21 @@ func (n *Node) Snapshot() *NodeStats {
 		Detail:       n.Detail,
 		Shards:       n.Shards,
 		BuildUS:      n.BuildUS,
-		Pulls:        n.pulls.Load(),
-		Emits:        n.emits.Load(),
-		Created:      n.created.Load(),
-		DedupDropped: n.dedup.Load(),
-		AbortPolls:   n.abortPolls.Load(),
-		Rescans:      n.rescans.Load(),
-		Probes:       n.probes.Load(),
-		ArenaBytes:   n.arenaBytes.Load(),
+		Pulls:        n.pulls,
+		Emits:        n.emits,
+		Created:      n.created,
+		DedupDropped: n.dedup,
+		AbortPolls:   n.abortPolls,
+		Rescans:      n.rescans,
+		Probes:       n.probes,
+		ArenaBytes:   n.arenaBytes,
+		TopScore:     n.topScore,
 	}
-	n.mu.Lock()
-	s.TopScore = n.topScore
 	if n.boundSet {
 		fb := n.lastBound
 		s.FinalBound = &fb
 	}
 	s.BoundTrajectory = append([]float64(nil), n.traj...)
-	n.mu.Unlock()
 	for _, c := range n.Children {
 		if cs := c.Snapshot(); cs != nil {
 			s.Children = append(s.Children, cs)
@@ -250,22 +237,14 @@ func (n *Node) UnmarshalJSON(data []byte) error {
 // restore overwrites the node with a snapshot's values, recursively.
 func (n *Node) restore(s *NodeStats) {
 	n.Op, n.Detail, n.Shards, n.BuildUS = s.Op, s.Detail, s.Shards, s.BuildUS
-	n.pulls.Store(s.Pulls)
-	n.emits.Store(s.Emits)
-	n.created.Store(s.Created)
-	n.dedup.Store(s.DedupDropped)
-	n.abortPolls.Store(s.AbortPolls)
-	n.rescans.Store(s.Rescans)
-	n.probes.Store(s.Probes)
-	n.arenaBytes.Store(s.ArenaBytes)
-	n.mu.Lock()
+	n.pulls, n.emits, n.created, n.dedup = s.Pulls, s.Emits, s.Created, s.DedupDropped
+	n.abortPolls, n.rescans, n.probes, n.arenaBytes = s.AbortPolls, s.Rescans, s.Probes, s.ArenaBytes
 	n.topScore = s.TopScore
 	n.boundSet = s.FinalBound != nil
 	if s.FinalBound != nil {
 		n.lastBound = *s.FinalBound
 	}
 	n.traj = append([]float64(nil), s.BoundTrajectory...)
-	n.mu.Unlock()
 	n.Children = nil
 	for _, cs := range s.Children {
 		c := &Node{}

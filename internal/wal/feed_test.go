@@ -295,39 +295,99 @@ func TestFeedCaughtUpReadAfterAllocs(t *testing.T) {
 // A lagging pull costs what it ships: one record behind on a 700-record
 // segment, ReadAfter verifies the records before the position without
 // decoding them, so it allocates about the one record it returns — not every
-// earlier record's strings. The log lives on disk because MemFS.Open copies
-// the whole file per open.
+// earlier record's strings, and not a copy of the segment.
 func TestFeedLaggingReadAfterAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	const n = 700
-	fs, err := DirFS(t.TempDir())
+	for _, tc := range []struct {
+		name string
+		fs   func(t *testing.T) FS
+	}{
+		{"DirFS", func(t *testing.T) FS {
+			fs, err := DirFS(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fs
+		}},
+		{"MemFS", func(*testing.T) FS { return NewMemFS() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 700
+			fs := tc.fs(t)
+			initManifest(t, fs, 0)
+			l, _, err := Open(fs, Options{Policy: SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			for i := 0; i < n; i++ {
+				if err := l.Append(rec(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			feed := NewFeed(fs, l)
+			var shipped int
+			per := allocBytesPerRun(100, func() {
+				recs, err := feed.ReadAfter(n-1, 1<<20)
+				if err != nil || len(recs) != 1 || recs[0].Seq != n {
+					t.Fatalf("ReadAfter(%d) = %d records, %v; want seq %d", n-1, len(recs), err, n)
+				}
+				shipped = recordSize(recs[0])
+			})
+			if limit := float64(2*shipped + 1024); per > limit {
+				t.Errorf("ReadAfter one record behind allocates %.0f B, want at most %.0f (2x the %d-byte record + 1 KiB)", per, limit, shipped)
+			}
+		})
+	}
+}
+
+// Opening a MemFS file copies nothing: open and read a 64 KiB file, half
+// synced and half pending, and the read allocates only the reader.
+func TestMemFSOpenAllocs(t *testing.T) {
+	fs := NewMemFS()
+	f, err := fs.Create("seg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	initManifest(t, fs, 0)
-	l, _, err := Open(fs, Options{Policy: SyncAlways})
-	if err != nil {
+	half := make([]byte, 32<<10)
+	for i := range half {
+		half[i] = byte(i)
+	}
+	if _, err := f.Write(half); err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	for i := 0; i < n; i++ {
-		if err := l.Append(rec(i)); err != nil {
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(half); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4<<10)
+	per := allocBytesPerRun(100, func() {
+		rc, err := fs.Open("seg")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	feed := NewFeed(fs, l)
-	var shipped int
-	per := allocBytesPerRun(100, func() {
-		recs, err := feed.ReadAfter(n-1, 1<<20)
-		if err != nil || len(recs) != 1 || recs[0].Seq != n {
-			t.Fatalf("ReadAfter(%d) = %d records, %v; want seq %d", n-1, len(recs), err, n)
+		total := 0
+		for {
+			m, err := rc.Read(buf)
+			total += m
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		shipped = recordSize(recs[0])
+		rc.Close()
+		if total != 2*len(half) {
+			t.Fatalf("read %d bytes, want %d", total, 2*len(half))
+		}
 	})
-	if limit := float64(2*shipped + 1024); per > limit {
-		t.Errorf("ReadAfter one record behind allocates %.0f B, want at most %.0f (2x the %d-byte record + 1 KiB)", per, limit, shipped)
+	if per > 1024 {
+		t.Errorf("opening and reading a 64 KiB MemFS file allocates %.0f B, want at most 1 KiB", per)
 	}
 }
 

@@ -9,12 +9,12 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -335,10 +335,11 @@ func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	if f == nil {
 		return nil, fmt.Errorf("wal: open %s: %w", name, os.ErrNotExist)
 	}
-	buf := make([]byte, 0, len(f.durable)+len(f.pending))
-	buf = append(buf, f.durable...)
-	buf = append(buf, f.pending...)
-	return io.NopCloser(strings.NewReader(string(buf))), nil
+	// No copy: Write and Sync only append, Crash builds new buffers, so the
+	// bytes below the lengths published here are never rewritten. The full
+	// slice expressions keep a later append out of the reader's view.
+	d, p := f.durable, f.pending
+	return io.NopCloser(io.MultiReader(bytes.NewReader(d[:len(d):len(d)]), bytes.NewReader(p[:len(p):len(p)]))), nil
 }
 
 func (m *MemFS) List() ([]string, error) {

@@ -15,8 +15,8 @@ import (
 // bit-identical to the unsharded engine, and — for the exhaustive modes —
 // consistent with the kg.Evaluate oracle. Spec-QP's guarantee
 // is exactly a rewriting-equivalence property (speculative plans must return
-// what exhaustive evaluation returns), which is easy to break silently under
-// parallel execution; these tests pin it.
+// what exhaustive evaluation returns), which is easy to break silently when
+// the storage layout changes under the operators; these tests pin it.
 
 var oracleShardCounts = []int{1, 2, 3, 7, 16}
 
@@ -132,7 +132,9 @@ func sameAnswers(t *testing.T, label string, got, want []Answer) {
 // engine: for randomized stores, every shard count returns exactly the
 // unsharded engine's answers under both paper engines and the naive
 // reference — order, scores, relaxation provenance and the Spec-QP plan's
-// relaxation decisions included.
+// relaxation decisions included — and creates exactly as many answer
+// objects: the memory metric is a property of (query, k, plan), not of the
+// layout.
 func TestShardedEnginesBitIdentical(t *testing.T) {
 	for trial := int64(0); trial < 5; trial++ {
 		st, rules, queries := randomEngineFixture(t, 3100+trial)
@@ -155,6 +157,9 @@ func TestShardedEnginesBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					sameAnswers(t, fmt.Sprintf("%s mode %v", label, mode), got.Answers, want.Answers)
+					if got.MemoryObjects != want.MemoryObjects {
+						t.Fatalf("%s %v: memory objects %d, want %d", label, mode, got.MemoryObjects, want.MemoryObjects)
+					}
 					if mode == ModeSpecQP && got.Plan.RelaxMask() != want.Plan.RelaxMask() {
 						t.Fatalf("%s: plan relax mask %b, want %b", label, got.Plan.RelaxMask(), want.Plan.RelaxMask())
 					}
@@ -421,9 +426,8 @@ func TestLiveQueryBatchStatsInvalidation(t *testing.T) {
 }
 
 // TestShardedQueryContextCancellation smoke-tests the cancellation path over
-// a sharded engine: background prefetchers must be released (the -race build
-// and the goroutine-leak-adjacent Prefetch stop test in operators cover the
-// mechanics; this pins the public API path).
+// a sharded engine: a query whose context is already cancelled returns the
+// context error through the public API, whatever the layout.
 func TestShardedQueryContextCancellation(t *testing.T) {
 	st, rules, queries := randomEngineFixture(t, 77)
 	eng := NewEngineWith(st, rules, Options{Shards: 4})

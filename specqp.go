@@ -197,13 +197,11 @@ type Options struct {
 	BatchWorkers int
 	// Shards selects the storage layout the engine queries. 0 or 1 keeps
 	// today's flat layout. A value > 1 repartitions the store into that many
-	// subject-hashed segments (frozen in parallel) and turns on parallel
-	// query execution: per-pattern scans merge per-shard sorted views, and
-	// independent join legs are built and prefetched concurrently. Negative
-	// values select runtime.GOMAXPROCS(0) segments — the usual opt-in for
-	// multi-core machines (ShardsAuto). Answers are bit-identical across
-	// shard counts; Result.MemoryObjects may be higher in sharded mode
-	// because prefetched-but-unconsumed entries still count.
+	// subject-hashed segments, frozen and compacted in parallel; each
+	// per-pattern scan merges the segments' sorted views. A query still runs
+	// on one goroutine. Negative values select runtime.GOMAXPROCS(0)
+	// segments (ShardsAuto). Answers and Result.MemoryObjects are
+	// bit-identical across shard counts.
 	//
 	// Memory note: the engine copies the store's triples into the segments
 	// and keeps the passed Store alive for Store()/Dict(), so during the
@@ -279,7 +277,7 @@ func NewEngine(st *Store, rules *RuleSet) *Engine {
 // NewEngineWith builds an engine with explicit options. With Options.Shards
 // beyond 1 the store's triples are repartitioned into subject-hashed
 // segments (frozen in parallel; st itself is left as passed) and every
-// query runs through the parallel sharded read path.
+// query reads them through the sharded scans.
 func NewEngineWith(st *Store, rules *RuleSet, opts Options) *Engine {
 	if opts.WALDir != "" {
 		// Accepting the option here and ignoring it would hand back an
@@ -304,8 +302,8 @@ func NewEngineWith(st *Store, rules *RuleSet, opts Options) *Engine {
 
 // NewEngineOver builds an engine directly over an existing Graph — a Store
 // or a caller-built ShardedStore — without copying or repartitioning it
-// (Options.Shards is ignored; the graph's own layout decides the execution
-// mode). This is the memory-lean path for sharded engines: populate a
+// (Options.Shards is ignored; the graph's own layout decides how the scans
+// read it). This is the memory-lean path for sharded engines: populate a
 // specqp.NewShardedStore yourself and no flat copy of the triples ever
 // exists. Engine.Store returns nil unless g is a *Store.
 func NewEngineOver(g Graph, rules *RuleSet, opts Options) *Engine {
@@ -335,9 +333,6 @@ func newEngineOver(graph kg.Graph, store *Store, rules *RuleSet, opts Options) *
 	cat := stats.NewCatalog(graph, buckets, counter)
 	pl := planner.New(cat, rules)
 	ex := exec.New(graph, rules)
-	if ss, ok := graph.(*ShardedStore); ok && ss.NumShards() > 1 {
-		ex.Parallel = true
-	}
 	if lg, ok := graph.(kg.LiveGraph); ok {
 		if opts.HeadLimit != 0 {
 			lg.SetHeadLimit(opts.HeadLimit)

@@ -351,9 +351,8 @@ func TestHugeKReturnsEveryAnswer(t *testing.T) {
 // TestEntryPointsAgree is the entry-point agreement oracle: Query,
 // QueryContext, QueryStream, QueryTraced, QueryBatch and QueryBatchStream all
 // execute one query path, so for every mode, shard count and k they return
-// bit-identical answers and the same plan partition — and, on the flat
-// engine, the same memory-object count (sharded prefetchers make that count
-// timing-dependent, so it is not compared there).
+// bit-identical answers, the same plan partition and the same memory-object
+// count.
 func TestEntryPointsAgree(t *testing.T) {
 	ctx := context.Background()
 	st, rules, queries := randomEngineFixture(t, 6600)
@@ -398,7 +397,7 @@ func TestEntryPointsAgree(t *testing.T) {
 							t.Fatalf("%s: plan %v/%v, want %v/%v", l, g.Result.Plan.JoinGroup,
 								g.Result.Plan.Singletons, want.Plan.JoinGroup, want.Plan.Singletons)
 						}
-						if shards == 1 && g.Result.MemoryObjects != want.MemoryObjects {
+						if g.Result.MemoryObjects != want.MemoryObjects {
 							t.Fatalf("%s: %d memory objects, want %d", l, g.Result.MemoryObjects, want.MemoryObjects)
 						}
 					}
