@@ -1,27 +1,22 @@
 package specqp
 
-// This file is the benchmark harness that regenerates every table and figure
-// of the paper's evaluation (Section 4) plus the design-choice ablations
-// catalogued in DESIGN.md. Run everything with
+// This file times the paper's evaluation (Section 4) and the design-choice
+// ablations. Run everything with
 //
 //	go test -bench=. -benchmem
 //
 // Naming maps directly onto the paper:
 //
-//	BenchmarkTable2*   — precision/recall per k                 (Table 2)
-//	BenchmarkTable3*   — prediction accuracy per k              (Table 3)
-//	BenchmarkTable4*   — average score error per k              (Table 4)
 //	BenchmarkFigure6   — XKG runtime/memory by #TP              (Figure 6)
 //	BenchmarkFigure7   — XKG runtime/memory by #TP relaxed      (Figure 7)
 //	BenchmarkFigure8   — Twitter runtime/memory by #TP          (Figure 8)
 //	BenchmarkFigure9   — Twitter runtime/memory by #TP relaxed  (Figure 9)
-//	BenchmarkAblation* — DESIGN.md ablations A1–A3
+//	BenchmarkAblation* — histogram resolution, selectivity source, rank join
 //
-// Quality metrics that a ns/op number cannot carry (precision, exact-match
-// rate, score error, memory objects) are attached with b.ReportMetric, so a
-// single -bench run prints every row the paper reports. Benchmarks use a
-// reduced-scale dataset for tolerable runtimes; cmd/specqp-experiments runs
-// the paper-sized configuration.
+// Memory objects and precision are attached with b.ReportMetric. Benchmarks
+// use a reduced-scale dataset for tolerable runtimes. The paper's exact
+// numbers (Tables 2–4, the figures' memory columns) at full scale are pinned
+// by TestPaperTables in internal/harness, not measured here.
 
 import (
 	"context"
@@ -61,88 +56,6 @@ func benchDatasets(b *testing.B) (*datagen.Dataset, *datagen.Dataset) {
 		b.Fatal(benchInitErr)
 	}
 	return benchXKGDS, benchTwDS
-}
-
-// runWorkload executes every query at the given k under both engines and
-// returns the outcomes (one full table row set).
-func runWorkload(ds *datagen.Dataset, k int) []harness.Outcome {
-	r := harness.NewRunnerWith(ds, 2, nil, []int{k})
-	return r.RunAll()
-}
-
-// ---------------------------------------------------------------------------
-// Tables 2–4.
-
-func benchTable(b *testing.B, ds *datagen.Dataset, report func(b *testing.B, outs []harness.Outcome)) {
-	for _, k := range []int{10, 15, 20} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var outs []harness.Outcome
-			for i := 0; i < b.N; i++ {
-				outs = runWorkload(ds, k)
-			}
-			report(b, outs)
-		})
-	}
-}
-
-func reportTable2(b *testing.B, outs []harness.Outcome) {
-	rows := harness.Table2(outs)
-	for _, r := range rows {
-		b.ReportMetric(r.Precision, "precision")
-	}
-}
-
-func reportTable3(b *testing.B, outs []harness.Outcome) {
-	exact, total := 0, 0
-	for _, c := range harness.Table3(outs) {
-		exact += c.Exact
-		total += c.Total
-	}
-	if total > 0 {
-		b.ReportMetric(float64(exact)/float64(total), "exact-match-rate")
-	}
-}
-
-func reportTable4(b *testing.B, outs []harness.Outcome) {
-	var mean float64
-	var n int
-	for _, c := range harness.Table4(outs) {
-		mean += c.Mean * float64(c.Total)
-		n += c.Total
-	}
-	if n > 0 {
-		b.ReportMetric(mean/float64(n), "score-error")
-	}
-}
-
-func BenchmarkTable2XKG(b *testing.B) {
-	xkg, _ := benchDatasets(b)
-	benchTable(b, xkg, reportTable2)
-}
-
-func BenchmarkTable2Twitter(b *testing.B) {
-	_, tw := benchDatasets(b)
-	benchTable(b, tw, reportTable2)
-}
-
-func BenchmarkTable3XKG(b *testing.B) {
-	xkg, _ := benchDatasets(b)
-	benchTable(b, xkg, reportTable3)
-}
-
-func BenchmarkTable3Twitter(b *testing.B) {
-	_, tw := benchDatasets(b)
-	benchTable(b, tw, reportTable3)
-}
-
-func BenchmarkTable4XKG(b *testing.B) {
-	xkg, _ := benchDatasets(b)
-	benchTable(b, xkg, reportTable4)
-}
-
-func BenchmarkTable4Twitter(b *testing.B) {
-	_, tw := benchDatasets(b)
-	benchTable(b, tw, reportTable4)
 }
 
 // ---------------------------------------------------------------------------
@@ -222,7 +135,7 @@ func BenchmarkFigure9(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md A1–A3).
+// Ablations.
 
 // BenchmarkAblationBuckets varies the estimator's histogram resolution
 // (paper §4.5.2: multi-bucket histograms model the distribution better but

@@ -1,13 +1,12 @@
 // Command specqp-datagen generates the synthetic evaluation datasets (the
-// XKG-style and Twitter-style substitutes described in DESIGN.md §5) and
+// XKG-style and Twitter-style substitutes described in package datagen) and
 // writes them to disk as three files per dataset:
 //
 //	<out>/<name>.triples.tsv   — subject\tpredicate\tobject\tscore
 //	<out>/<name>.rules.tsv     — fromS..fromO toS..toO weight
 //	<out>/<name>.queries.txt   — one SPARQL query per line
 //
-// The files round-trip through the specqp CLI (cmd/specqp) and the
-// experiment harness (cmd/specqp-experiments -load).
+// The files round-trip through the specqp CLI (cmd/specqp).
 package main
 
 import (

@@ -6,7 +6,8 @@
 // scores (the 80/20 property the paper's own estimator assumes), rich
 // relaxation fan-out (≥10 rules/pattern for XKG-style, ≥5 for Twitter-style
 // with co-occurrence weights), and query workloads with the paper's shape
-// (65 queries of 2–4 patterns; 50 queries of 2–3 patterns). See DESIGN.md §5.
+// (65 queries of 2–4 patterns; 50 queries of 2–3 patterns). README's
+// "Reproducing the paper" shows the paper's tables over both.
 package datagen
 
 import (

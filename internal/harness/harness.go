@@ -1,8 +1,9 @@
 // Package harness runs the paper's experimental evaluation end to end: for
 // every workload query and every k it executes both TriniT (the true top-k
-// baseline) and Spec-QP, gathers the quality and efficiency metrics of
-// Section 4.3, and renders the same tables and figure series the paper
-// reports (Tables 2–4, Figures 6–9).
+// baseline) and Spec-QP, gathers the quality and memory metrics of Section
+// 4.3, and renders the paper's Tables 2–4 and the memory series of Figures
+// 6–9. TestPaperTables pins all of them, over both default datasets, in
+// testdata/paper_tables.golden.
 package harness
 
 import (
@@ -10,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"specqp/internal/datagen"
 	"specqp/internal/exec"
@@ -43,12 +43,6 @@ type Runner struct {
 	Exec    *exec.Executor
 	Planner *planner.Planner
 	Ks      []int
-	// Runs is the paper's measurement protocol: "To have a warm cache, we
-	// conducted 5 consecutive runs for each query and considered the average
-	// of the last 3 runs". Runs <= 1 measures a single execution; Runs >= 3
-	// averages the timings of the last Runs-2 executions (answers and memory
-	// objects are identical across runs, so only times are averaged).
-	Runs int
 }
 
 // NewRunner wires a runner with the paper's configuration: two-bucket
@@ -69,40 +63,17 @@ func NewRunnerWith(ds *datagen.Dataset, buckets int, counter stats.Counter, ks [
 	}
 }
 
-// RunQuery executes one workload query at one k under both engines,
-// following the configured measurement protocol (see Runs).
+// RunQuery executes one workload query at one k under both engines.
 func (r *Runner) RunQuery(qi, k int) Outcome {
-	qs := r.Dataset.Queries[qi]
-	runs := r.Runs
-	if runs < 1 {
-		runs = 1
-	}
-	var t, s exec.Result
-	var tTimes, sTimes []time.Duration
+	q := r.Dataset.Queries[qi].Query
+	// Run fails only when its context ends, and Background never does.
 	ctx := context.Background()
-	for i := 0; i < runs; i++ {
-		t, _ = r.Exec.Run(ctx, planner.TriniTPlan(qs.Query, k), exec.RunOpts{})
-		// The paper counts planning in Spec-QP's runtime: time it separately
-		// so TotalTime reports both.
-		t0 := time.Now()
-		p := r.Planner.Plan(qs.Query, k)
-		planTime := time.Since(t0)
-		s, _ = r.Exec.Run(ctx, p, exec.RunOpts{})
-		s.PlanTime = planTime
-		tTimes = append(tTimes, t.TotalTime())
-		sTimes = append(sTimes, s.TotalTime())
-	}
-	if runs >= 3 {
-		// Average the warm runs (drop the first two), storing the averaged
-		// time into ExecTime with PlanTime zeroed so TotalTime reports it.
-		t.ExecTime, t.PlanTime = avgTail(tTimes, runs-2), 0
-		s.ExecTime, s.PlanTime = avgTail(sTimes, runs-2), 0
-	}
-
+	t, _ := r.Exec.Run(ctx, planner.TriniTPlan(q, k), exec.RunOpts{})
+	s, _ := r.Exec.Run(ctx, r.Planner.Plan(q, k), exec.RunOpts{})
 	o := Outcome{
 		QueryIdx: qi,
 		K:        k,
-		NumTP:    len(qs.Query.Patterns),
+		NumTP:    len(q.Patterns),
 		TriniT:   t,
 		SpecQP:   s,
 	}
@@ -236,8 +207,9 @@ func Table4(outcomes []Outcome) []Table4Cell {
 }
 
 // ---------------------------------------------------------------------------
-// Figures 6–9: runtimes and memory objects grouped by #TP (Figs 6, 8) or by
-// #TP relaxed by Spec-QP (Figs 7, 9).
+// Figures 6–9: memory objects grouped by #TP (Figs 6, 8) or by #TP relaxed
+// by Spec-QP (Figs 7, 9). The figures' runtime halves are timings, which the
+// root BenchmarkFigure6–9 and the bench module measure.
 
 // FigureBar is one bar pair (TriniT vs Spec-QP) in a figure series.
 type FigureBar struct {
@@ -245,18 +217,8 @@ type FigureBar struct {
 	Group   int // #TP or #TP-relaxed depending on the figure
 	Queries int
 
-	TriniTTime time.Duration
-	SpecQPTime time.Duration
-	TriniTMem  float64
-	SpecQPMem  float64
-}
-
-// Speedup returns TriniT time divided by Spec-QP time (>1 means Spec-QP wins).
-func (b FigureBar) Speedup() float64 {
-	if b.SpecQPTime == 0 {
-		return 0
-	}
-	return float64(b.TriniTTime) / float64(b.SpecQPTime)
+	TriniTMem float64
+	SpecQPMem float64
 }
 
 // MemRatio returns TriniT memory over Spec-QP memory (>1 means Spec-QP wins).
@@ -267,7 +229,7 @@ func (b FigureBar) MemRatio() float64 {
 	return b.TriniTMem / b.SpecQPMem
 }
 
-// FigureByTP aggregates runtimes and memory by number of triple patterns
+// FigureByTP aggregates memory by number of triple patterns
 // (Figure 6 for XKG, Figure 8 for Twitter).
 func FigureByTP(outcomes []Outcome) []FigureBar {
 	return figure(outcomes, func(o Outcome) int { return o.NumTP })
@@ -282,9 +244,8 @@ func FigureByRelaxed(outcomes []Outcome) []FigureBar {
 func figure(outcomes []Outcome, group func(Outcome) int) []FigureBar {
 	type key struct{ k, g int }
 	type acc struct {
-		n            int
-		tTime, sTime time.Duration
-		tMem, sMem   float64
+		n          int
+		tMem, sMem float64
 	}
 	m := map[key]*acc{}
 	for _, o := range outcomes {
@@ -295,21 +256,17 @@ func figure(outcomes []Outcome, group func(Outcome) int) []FigureBar {
 			m[kk] = a
 		}
 		a.n++
-		a.tTime += o.TriniT.TotalTime()
-		a.sTime += o.SpecQP.TotalTime()
 		a.tMem += float64(o.TriniT.MemoryObjects)
 		a.sMem += float64(o.SpecQP.MemoryObjects)
 	}
 	var bars []FigureBar
 	for kk, a := range m {
 		bars = append(bars, FigureBar{
-			K:          kk.k,
-			Group:      kk.g,
-			Queries:    a.n,
-			TriniTTime: a.tTime / time.Duration(a.n),
-			SpecQPTime: a.sTime / time.Duration(a.n),
-			TriniTMem:  a.tMem / float64(a.n),
-			SpecQPMem:  a.sMem / float64(a.n),
+			K:         kk.k,
+			Group:     kk.g,
+			Queries:   a.n,
+			TriniTMem: a.tMem / float64(a.n),
+			SpecQPMem: a.sMem / float64(a.n),
 		})
 	}
 	sort.Slice(bars, func(i, j int) bool {
@@ -349,7 +306,7 @@ func PrintTable3(w io.Writer, name string, rows []Table3Cell) {
 	sort.Ints(reqs)
 	fmt.Fprintf(w, "  %-28s", "queries requiring")
 	for _, k := range ks {
-		fmt.Fprintf(w, " k=%-9d", k)
+		fmt.Fprintf(w, " k=%-8d", k)
 	}
 	fmt.Fprintln(w)
 	for _, req := range reqs {
@@ -374,16 +331,14 @@ func PrintTable4(w io.Writer, name string, rows []Table4Cell) {
 	}
 }
 
-// PrintFigure renders a figure series (runtime and memory bars).
+// PrintFigure renders a figure series (memory bars).
 func PrintFigure(w io.Writer, title, groupLabel string, bars []FigureBar) {
 	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "  %-4s %-12s %-8s %-12s %-12s %-8s %-12s %-12s %-8s\n",
-		"k", groupLabel, "queries", "T-time", "S-time", "spdup", "T-mem", "S-mem", "memX")
+	fmt.Fprintf(w, "  %-4s %-12s %-8s %-12s %-12s %-8s\n",
+		"k", groupLabel, "queries", "T-mem", "S-mem", "memX")
 	for _, b := range bars {
-		fmt.Fprintf(w, "  %-4d %-12d %-8d %-12s %-12s %-8.2f %-12.0f %-12.0f %-8.2f\n",
-			b.K, b.Group, b.Queries,
-			b.TriniTTime.Round(time.Microsecond), b.SpecQPTime.Round(time.Microsecond),
-			b.Speedup(), b.TriniTMem, b.SpecQPMem, b.MemRatio())
+		fmt.Fprintf(w, "  %-4d %-12d %-8d %-12.1f %-12.1f %-8.2f\n",
+			b.K, b.Group, b.Queries, b.TriniTMem, b.SpecQPMem, b.MemRatio())
 	}
 }
 
@@ -402,18 +357,6 @@ func rowsKs3(rows []Table3Cell) []int {
 func sortedKs(ks []int) []int {
 	sort.Ints(ks)
 	return ks
-}
-
-// avgTail averages the last n entries of times.
-func avgTail(times []time.Duration, n int) time.Duration {
-	if n <= 0 || n > len(times) {
-		n = len(times)
-	}
-	var sum time.Duration
-	for _, d := range times[len(times)-n:] {
-		sum += d
-	}
-	return sum / time.Duration(n)
 }
 
 func mean(xs []float64) float64 {

@@ -3,14 +3,13 @@ package harness
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"specqp/internal/exec"
 )
 
 // fakeOutcomes builds a deterministic outcome set for aggregation tests.
 func fakeOutcomes() []Outcome {
-	mk := func(k, tp int, prec, errMean float64, reqBits, predBits uint32, tTime, sTime time.Duration, tMem, sMem int64) Outcome {
+	mk := func(k, tp int, prec, errMean float64, reqBits, predBits uint32, tMem, sMem int64) Outcome {
 		return Outcome{
 			K:             k,
 			NumTP:         tp,
@@ -19,15 +18,15 @@ func fakeOutcomes() []Outcome {
 			RequiredMask:  reqBits,
 			PredictedMask: predBits,
 			ExactMatch:    reqBits == predBits,
-			TriniT:        exec.Result{MemoryObjects: tMem, ExecTime: tTime},
-			SpecQP:        exec.Result{MemoryObjects: sMem, ExecTime: sTime},
+			TriniT:        exec.Result{MemoryObjects: tMem},
+			SpecQP:        exec.Result{MemoryObjects: sMem},
 		}
 	}
 	return []Outcome{
-		mk(10, 2, 1.0, 0.0, 0b01, 0b01, 10*time.Millisecond, 5*time.Millisecond, 1000, 400),
-		mk(10, 2, 0.5, 0.2, 0b11, 0b01, 20*time.Millisecond, 10*time.Millisecond, 2000, 800),
-		mk(10, 3, 0.8, 0.1, 0b111, 0b111, 30*time.Millisecond, 30*time.Millisecond, 3000, 3000),
-		mk(20, 2, 0.9, 0.05, 0b01, 0b01, 12*time.Millisecond, 6*time.Millisecond, 1200, 500),
+		mk(10, 2, 1.0, 0.0, 0b01, 0b01, 1000, 400),
+		mk(10, 2, 0.5, 0.2, 0b11, 0b01, 2000, 800),
+		mk(10, 3, 0.8, 0.1, 0b111, 0b111, 3000, 3000),
+		mk(20, 2, 0.9, 0.05, 0b01, 0b01, 1200, 500),
 	}
 }
 
@@ -92,14 +91,8 @@ func TestFigureAggregations(t *testing.T) {
 	if b1.Queries != 2 {
 		t.Fatalf("k=10 tp=2 queries: %d", b1.Queries)
 	}
-	if b1.TriniTTime != 15*time.Millisecond {
-		t.Fatalf("avg T time: %v", b1.TriniTTime)
-	}
-	if b1.SpecQPTime != 7500*time.Microsecond {
-		t.Fatalf("avg S time: %v", b1.SpecQPTime)
-	}
-	if sp := b1.Speedup(); sp < 1.99 || sp > 2.01 {
-		t.Fatalf("speedup: %v", sp)
+	if b1.TriniTMem != 1500 || b1.SpecQPMem != 600 {
+		t.Fatalf("avg mem: T %v S %v, want 1500 and 600", b1.TriniTMem, b1.SpecQPMem)
 	}
 	if mr := b1.MemRatio(); mr < 2.49 || mr > 2.51 {
 		t.Fatalf("mem ratio: %v", mr)
@@ -129,7 +122,7 @@ func TestPrintersProduceStableLayout(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"Table 2", "Table 3", "Table 4", "Figure X",
-		"precision", "relaxation", "mean", "spdup",
+		"precision", "relaxation", "mean", "memX",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("printer output missing %q:\n%s", want, out)
@@ -137,22 +130,9 @@ func TestPrintersProduceStableLayout(t *testing.T) {
 	}
 }
 
-func TestSpeedupZeroGuards(t *testing.T) {
+func TestMemRatioZeroGuard(t *testing.T) {
 	var b FigureBar
-	if b.Speedup() != 0 || b.MemRatio() != 0 {
-		t.Fatal("zero bars must not divide by zero")
-	}
-}
-
-func TestAvgTail(t *testing.T) {
-	times := []time.Duration{10, 20, 30, 40, 50}
-	if got := avgTail(times, 3); got != 40 {
-		t.Fatalf("avgTail(..,3): got %v want 40", got)
-	}
-	if got := avgTail(times, 0); got != 30 {
-		t.Fatalf("avgTail(..,0) should average all: got %v", got)
-	}
-	if got := avgTail(times, 99); got != 30 {
-		t.Fatalf("avgTail(..,99) should clamp: got %v", got)
+	if b.MemRatio() != 0 {
+		t.Fatal("a zero bar must not divide by zero")
 	}
 }

@@ -1,42 +1,20 @@
 package harness
 
 import (
-	"sync"
 	"testing"
 
-	"specqp/internal/datagen"
 	"specqp/internal/metrics"
 )
 
-// The shape tests assert, on a reduced but paper-shaped workload, the
+// The shape tests assert, on the XKG outcomes TestPaperTables pins, the
 // qualitative claims of the evaluation section — the properties that define
-// a successful reproduction. They use loose thresholds so normal variance
-// across machines does not flake, while genuine regressions (estimator bugs,
-// operator over-reads) fail loudly.
-
-var (
-	shapeOnce sync.Once
-	shapeOuts []Outcome
-	shapeErr  error
-)
+// a successful reproduction. They use loose thresholds, so a deliberate
+// change that moves the golden's numbers still passes them, while genuine
+// regressions (estimator bugs, operator over-reads) fail loudly.
 
 func shapeOutcomes(t *testing.T) []Outcome {
 	t.Helper()
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	shapeOnce.Do(func() {
-		ds, err := datagen.XKG(datagen.XKGConfig{Seed: 1, Entities: 8000, Queries: 39})
-		if err != nil {
-			shapeErr = err
-			return
-		}
-		shapeOuts = NewRunner(ds).RunAll()
-	})
-	if shapeErr != nil {
-		t.Fatal(shapeErr)
-	}
-	return shapeOuts
+	return paperEvaluation(t)[0].outs
 }
 
 // Precision must be reasonable at k=10 and must not degrade as k grows

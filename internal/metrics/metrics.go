@@ -111,13 +111,6 @@ func RequiredRelaxations(truth []kg.Answer, k int) uint32 {
 // identifies exactly the required relaxations.
 func PredictionExact(predicted, required uint32) bool { return predicted == required }
 
-// PredictionSuperset reports whether the speculation covers all required
-// relaxations (it may relax more than needed — correctness-preserving but
-// slower). Useful as a softer diagnostic alongside Table 3's exact match.
-func PredictionSuperset(predicted, required uint32) bool {
-	return predicted&required == required
-}
-
 // CountBits returns the number of set bits (patterns) in a relaxation mask.
 func CountBits(m uint32) int {
 	c := 0

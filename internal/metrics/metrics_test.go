@@ -111,12 +111,6 @@ func TestPredictionPredicates(t *testing.T) {
 	if PredictionExact(0b111, 0b101) {
 		t.Fatal("superset reported exact")
 	}
-	if !PredictionSuperset(0b111, 0b101) {
-		t.Fatal("superset not detected")
-	}
-	if PredictionSuperset(0b001, 0b101) {
-		t.Fatal("subset reported superset")
-	}
 }
 
 func TestCountBits(t *testing.T) {
