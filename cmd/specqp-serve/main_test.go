@@ -95,6 +95,17 @@ func TestServeSmoke(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert: %d", resp.StatusCode)
 	}
+	// ...and the next query already sees it.
+	resp, err = http.Post(base+"/query", "application/json", strings.NewReader(
+		fmt.Sprintf(`{"query":%q,"k":5}`, `SELECT ?s WHERE { ?s 'rdf:type' <singer> }`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"bowie"`) {
+		t.Fatalf("query after insert: %d %s", resp.StatusCode, raw)
+	}
 
 	// Overload burst against the tiny (2-slot, 2-queue) server: every
 	// response is either a served answer or a clean 429 — never a dropped

@@ -73,7 +73,7 @@ func smallTwitter(t *testing.T, seed int64) *Dataset {
 }
 
 func TestXKGDeterministic(t *testing.T) {
-	a := smallXKGFresh(t, 5)
+	a := smallXKG(t, 5)
 	b := smallXKGFresh(t, 5)
 	if a.Store.Len() != b.Store.Len() {
 		t.Fatalf("same seed, different sizes: %d vs %d", a.Store.Len(), b.Store.Len())

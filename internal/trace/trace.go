@@ -1,8 +1,8 @@
 // Package trace is the per-query execution tracing layer: a plan-shaped tree
 // of per-operator statistics (pulls, emissions, dedup suppressions, bound
 // trajectories, abort polls, arena bytes) plus the planner decisions that
-// shaped the tree (plan-cache hit, shape key, chosen mode, relaxation
-// expansions) and the per-phase wall times.
+// shaped the tree (shape key, chosen mode, relaxation expansions) and the
+// per-phase wall times.
 //
 // The design constraint is zero overhead when disabled: operators hold a
 // *Node that is nil unless the execution asked for tracing, and every mutator
@@ -12,8 +12,9 @@
 // internal/operators enforce it).
 //
 // A query's operators run on one goroutine and the trace is read only after
-// the drain, so counters are plain integers. The package deliberately imports nothing from the engine — operators, exec
-// and the server all depend on it, never the reverse.
+// the drain, so counters are plain integers. The package deliberately
+// imports nothing from the engine — operators, exec and the server all
+// depend on it, never the reverse.
 package trace
 
 import (
