@@ -73,11 +73,11 @@ func Example() {
 	}
 	fmt.Print(eng.Explain(eng.PlanQuery(q, 3)))
 	// Output:
-	// trinit (objects=14)
+	// trinit (objects=11)
 	//   1. prince   score=1.800 relaxed=true
 	//   2. beyonce  score=1.600 relaxed=true
 	//   3. shakira  score=1.404 relaxed=false
-	// spec-qp (objects=14)
+	// spec-qp (objects=11)
 	//   1. prince   score=1.800 relaxed=true
 	//   2. beyonce  score=1.600 relaxed=true
 	//   3. shakira  score=1.404 relaxed=false
@@ -188,7 +188,7 @@ func ExampleEngine_Explain() {
 	//   [1] 〈?s rdf:type B〉 → RELAX (incremental merge): EQ'(1)=1.7199 > EQ(k)=1.3274
 	//       top rule: 〈?s rdf:type C〉 (w=0.850)
 	// plan: join group [0], singletons [1]
-	// answers: 5 (vs TriniT 5), overlap 5; objects S=210 T=340
+	// answers: 5 (vs TriniT 5), overlap 5; objects S=205 T=305
 	// == k=20
 	// query: 〈?s rdf:type A〉 . 〈?s rdf:type B〉
 	// expected score at rank k=20: 0.6696
@@ -197,7 +197,7 @@ func ExampleEngine_Explain() {
 	//   [1] 〈?s rdf:type B〉 → RELAX (incremental merge): EQ'(1)=1.7199 > EQ(k)=0.6696
 	//       top rule: 〈?s rdf:type C〉 (w=0.850)
 	// plan: join group [], singletons [0 1]
-	// answers: 20 (vs TriniT 20), overlap 20; objects S=370 T=370
+	// answers: 20 (vs TriniT 20), overlap 20; objects S=320 T=320
 	// == k=60
 	// query: 〈?s rdf:type A〉 . 〈?s rdf:type B〉
 	// original query cannot reach k=60 answers; EQ(k)=0
@@ -206,7 +206,7 @@ func ExampleEngine_Explain() {
 	//   [1] 〈?s rdf:type B〉 → RELAX (incremental merge): EQ'(1)=1.7199 > EQ(k)=0.0000
 	//       top rule: 〈?s rdf:type C〉 (w=0.850)
 	// plan: join group [], singletons [0 1]
-	// answers: 60 (vs TriniT 60), overlap 60; objects S=450 T=450
+	// answers: 60 (vs TriniT 60), overlap 60; objects S=360 T=360
 }
 
 // Example_musicians reproduces the paper's motivating question, "which
@@ -277,9 +277,9 @@ func Example_musicians() {
 	}
 	// Output:
 	// 7 rules; full enumeration evaluates 48 queries
-	// k=5: TriniT 4054 objects, Spec-QP 4054 objects, relaxed 4 of 4 patterns
-	// k=10: TriniT 4064 objects, Spec-QP 4064 objects, relaxed 4 of 4 patterns
-	// k=20: TriniT 4084 objects, Spec-QP 4084 objects, relaxed 4 of 4 patterns
+	// k=5: TriniT 3223 objects, Spec-QP 3223 objects, relaxed 4 of 4 patterns
+	// k=10: TriniT 3228 objects, Spec-QP 3228 objects, relaxed 4 of 4 patterns
+	// k=20: TriniT 3238 objects, Spec-QP 3238 objects, relaxed 4 of 4 patterns
 	// 1. musician_0043 score=0.463 via 2 relaxations
 	// 2. musician_0091 score=0.127 via 3 relaxations
 	// 3. musician_0161 score=0.115 via 2 relaxations
@@ -379,8 +379,8 @@ func ExampleMineCooccurrence_twitter() {
 	// #intoyouvideo → #album w=0.152
 	// #intoyouvideo → #tour w=0.146
 	// #intoyouvideo → #pop w=0.142
-	// k=10: TriniT 10 answers / 7878 objects, Spec-QP 10 answers / 7878 objects, relaxed 3 of 3 patterns
-	// k=20: TriniT 20 answers / 7898 objects, Spec-QP 20 answers / 7898 objects, relaxed 3 of 3 patterns
+	// k=10: TriniT 10 answers / 4944 objects, Spec-QP 10 answers / 4944 objects, relaxed 3 of 3 patterns
+	// k=20: TriniT 20 answers / 4954 objects, Spec-QP 20 answers / 4954 objects, relaxed 3 of 3 patterns
 	// 1. tweet_02619 score=2.865
 	// 2. tweet_02716 score=2.167
 	// 3. tweet_01746 score=1.342

@@ -204,9 +204,7 @@ func (ex *Executor) buildLegs(g kg.Graph, p planner.Plan, vs *kg.VarSet, c *oper
 // its scans and merge are never built. Any other leg joins through a
 // RankJoin over its stream. The choice reads only the plan and the patterns,
 // never the snapshot's state, so a live store and its flat rebuild run the
-// same operators. The two joins agree unless a relaxation replaces a join
-// variable with a constant: a RankJoin then joins nothing under the unbound
-// variable, where a ProbeJoin treats it as unconstrained, as Naive does.
+// same operators.
 func (ex *Executor) buildStream(p planner.Plan, c *operators.Counter) operators.Stream {
 	vs := kg.NewVarSet(p.Query)
 	// One pinned snapshot serves the entire operator tree: every scan,

@@ -43,6 +43,12 @@ func paperEvaluation(t *testing.T) []paperRun {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	if raceEnabled {
+		// One goroutine runs the whole evaluation, so the race detector has
+		// nothing to check and would only slow it about tenfold; the tests
+		// run in every build without -race.
+		t.Skip("race build: the evaluation runs on one goroutine")
+	}
 	paperOnce.Do(func() {
 		for _, gen := range []func() (*datagen.Dataset, error){
 			func() (*datagen.Dataset, error) { return datagen.XKG(datagen.XKGConfig{Seed: 1}) },

@@ -44,23 +44,40 @@ func (s *AnswerScan) TopScore() float64 { return s.top }
 // Bound implements Stream.
 func (s *AnswerScan) Bound() float64 { return s.last }
 
-// Next implements Stream.
-func (s *AnswerScan) Next() (Entry, bool) {
+// advance moves to the next answer and returns its weighted score; the
+// answer's binding is then view.
+func (s *AnswerScan) advance() (float64, bool) {
 	if s.pos >= len(s.answers) {
 		s.last = 0
-		return Entry{}, false
+		return 0, false
 	}
-	a := s.answers[s.pos]
 	s.pos++
+	s.stats.Pull()
+	return s.weight * s.answers[s.pos-1].Score, true
+}
+
+// view is the current answer's binding, valid until the next advance.
+func (s *AnswerScan) view() kg.Binding { return s.answers[s.pos-1].Binding }
+
+// take hands the current answer off as an entry and counts it.
+func (s *AnswerScan) take() Entry {
+	a := s.answers[s.pos-1]
 	score := s.weight * a.Score
 	s.last = score
 	s.counter.Inc()
 	if s.stats != nil {
-		s.stats.Pull()
 		s.stats.Emit()
 		s.stats.SampleBound(score)
 	}
-	return Entry{Binding: a.Binding, Score: score, Relaxed: s.mask | a.Relaxed}, true
+	return Entry{Binding: a.Binding, Score: score, Relaxed: s.mask | a.Relaxed}
+}
+
+// Next implements Stream.
+func (s *AnswerScan) Next() (Entry, bool) {
+	if _, ok := s.advance(); !ok {
+		return Entry{}, false
+	}
+	return s.take(), true
 }
 
 // Reset implements Resettable.

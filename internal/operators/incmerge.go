@@ -16,21 +16,29 @@ import (
 // The implementation is a lazy k-way heap merge: each input advances only
 // when its current head is globally next, so lists whose relaxation weight is
 // low are barely read — this is exactly what makes TriniT cheaper than the
-// naive evaluate-everything baseline. Input i's current head lives in cur[i]
-// and the heap orders input indexes, so advancing an input sifts 4-byte
-// indexes rather than whole entries; dedup is a keyTab set over packed
-// kg.BindingKeys. Steady-state merging allocates nothing beyond what the
-// inputs themselves produce.
+// naive evaluate-everything baseline. Input i's current head score lives in
+// cur[i] and the heap orders input indexes, so advancing an input sifts
+// 4-byte indexes rather than whole entries; dedup is a keyTab set over packed
+// kg.BindingKeys.
+//
+// Heads are ranked in place: a scan input (ListScan, ShardedListScan,
+// AnswerScan) shows the merge its next entry's score and a view of its
+// binding, and only the head the merge emits is materialised and counted,
+// by the scan's hand-off and by the merge's emit. A head the merge drops as
+// a duplicate, or still holds when the drain stops, is never cloned or
+// counted. Any other stream is pulled eagerly through pulledInput and counts
+// its entries itself.
 type IncrementalMerge struct {
 	inputs []Stream
+	heads  []mergeInput // heads[i]: inputs[i] as the merge reads it
 	// nonResettable is the index of the first input that does not implement
 	// Resettable, or -1 when every input does (the invariant Reset needs).
 	// It is established at construction so a Reset on an unresettable merge
 	// fails with a diagnostic instead of a bare type-assertion panic.
 	nonResettable int
-	cur           []Entry // cur[i]: input i's current head
-	order         []int32 // heap of input indexes with a head, best first
-	seen          keyTab  // set form: keys of emitted bindings
+	cur           []float64 // cur[i]: the score of input i's current head
+	order         []int32   // heap of input indexes with a head, best first
+	seen          keyTab    // set form: keys of emitted bindings
 	keyer         *kg.Keyer
 	counter       *Counter
 	pulls         int  // input pulls since the last abort poll
@@ -41,23 +49,56 @@ type IncrementalMerge struct {
 	stats         *trace.Node // nil unless the execution is traced
 }
 
+// mergeInput is one input as the merge reads it. advance moves to the
+// input's next entry and returns its score; the entry's binding is then view
+// until the next advance. take hands the current entry off, materialised and
+// counted at the input's own site; an entry advanced past without take is
+// neither.
+type mergeInput interface {
+	advance() (score float64, ok bool)
+	view() kg.Binding
+	take() Entry
+}
+
+// pulledInput reads a Stream that ranks no head in place: advance pulls the
+// stream's next entry, which the stream has already materialised and
+// counted, and take returns it.
+type pulledInput struct {
+	s Stream
+	e Entry
+}
+
+func (p *pulledInput) advance() (float64, bool) {
+	e, ok := p.s.Next()
+	p.e = e
+	return e.Score, ok
+}
+
+func (p *pulledInput) view() kg.Binding { return p.e.Binding }
+func (p *pulledInput) take() Entry      { return p.e }
+
 // NewIncrementalMerge merges the given streams. Inputs must each be sorted by
 // score descending; stream 0 is conventionally the original pattern. The
 // counter records merged-entry creations.
 func NewIncrementalMerge(inputs []Stream, c *Counter) *IncrementalMerge {
 	m := &IncrementalMerge{
 		inputs:        inputs,
+		heads:         make([]mergeInput, len(inputs)),
 		nonResettable: -1,
-		cur:           make([]Entry, len(inputs)),
+		cur:           make([]float64, len(inputs)),
 		order:         make([]int32, 0, len(inputs)),
 		seen:          keyTab{ws: c.Workspace()},
 		keyer:         kg.NewKeyer(),
 		counter:       c,
 	}
 	for i, in := range inputs {
-		if _, ok := in.(Resettable); !ok {
+		if h, ok := in.(mergeInput); ok {
+			m.heads[i] = h
+		} else {
+			m.heads[i] = &pulledInput{s: in}
+		}
+		if _, ok := in.(Resettable); !ok && m.nonResettable < 0 {
 			m.nonResettable = i
-			break
 		}
 	}
 	if c.Tracing() {
@@ -71,14 +112,14 @@ func (m *IncrementalMerge) prime() {
 		return
 	}
 	m.primed = true
-	for i, in := range m.inputs {
-		if e, ok := in.Next(); ok {
-			m.cur[i] = e
+	for i, in := range m.heads {
+		if score, ok := in.advance(); ok {
+			m.cur[i] = score
 			m.push(int32(i))
 		}
 	}
 	if len(m.order) > 0 {
-		m.top = m.cur[m.order[0]].Score
+		m.top = m.cur[m.order[0]]
 	}
 	m.last = m.top
 	m.stats.SetTop(m.top)
@@ -119,17 +160,23 @@ func (m *IncrementalMerge) Next() (Entry, bool) {
 		m.pulls++
 		m.stats.Pull()
 		src := m.order[0]
-		h := m.cur[src]
-		if e, ok := m.inputs[src].Next(); ok {
-			m.cur[src] = e
+		in := m.heads[src]
+		// The head's view is valid only until its input advances, so it is
+		// checked, and taken if new, first.
+		fresh := m.seen.add(m.keyer.Key(in.view()))
+		var h Entry
+		if fresh {
+			h = in.take()
+		}
+		if score, ok := in.advance(); ok {
+			m.cur[src] = score
 		} else {
-			m.cur[src] = Entry{}
 			n := len(m.order) - 1
 			m.order[0] = m.order[n]
 			m.order = m.order[:n]
 		}
 		m.fixRoot()
-		if !m.seen.add(m.keyer.Key(h.Binding)) {
+		if !fresh {
 			m.stats.DedupDrop()
 			continue
 		}
@@ -172,7 +219,7 @@ func (m *IncrementalMerge) Reset() {
 
 // less orders inputs by head score descending, input index ascending on ties.
 func (m *IncrementalMerge) less(a, b int32) bool {
-	if sa, sb := m.cur[a].Score, m.cur[b].Score; sa != sb {
+	if sa, sb := m.cur[a], m.cur[b]; sa != sb {
 		return sa > sb
 	}
 	return a < b

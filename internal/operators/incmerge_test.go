@@ -1,8 +1,10 @@
 package operators
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -232,6 +234,156 @@ func TestIncrementalMergeRandomisedOrderInvariant(t *testing.T) {
 		}
 		if !IsSortedDesc(es) {
 			t.Fatalf("trial %d: merge output not sorted", trial)
+		}
+	}
+}
+
+// selfCountingStream is a Stream that ranks no head in place: it counts every
+// entry it hands out itself, as an operator does, and the merge reads it
+// through pulledInput.
+type selfCountingStream struct {
+	inner Stream
+	c     *Counter
+	pulls int64
+}
+
+func (s *selfCountingStream) Next() (Entry, bool) {
+	e, ok := s.inner.Next()
+	if ok {
+		s.pulls++
+		s.c.Inc()
+	}
+	return e, ok
+}
+func (s *selfCountingStream) TopScore() float64 { return s.inner.TopScore() }
+func (s *selfCountingStream) Bound() float64    { return s.inner.Bound() }
+
+// arenaIDs is the number of IDs the arena has handed out.
+func arenaIDs(a *bindingArena) int {
+	n := a.off
+	for _, ch := range a.chunks[:a.ci] {
+		n += len(ch)
+	}
+	return n
+}
+
+// TestMergeMaterialisesOnlyEmitted pins what the merge materialises: over
+// inputs that mostly repeat each other's bindings, its output is every
+// input's entries sorted by score descending, then input index, keeping each
+// binding's first occurrence; and only the entries it emits are cloned and
+// counted — once at the scan's hand-off and once at the merge — while
+// duplicates and heads still pending when the drain stops cost nothing. A
+// plain Stream still counts what it hands out itself.
+func TestMergeMaterialisesOnlyEmitted(t *testing.T) {
+	st := randomOpStore(t, 4500, 300)
+	ss := kg.NewShardedStoreFrom(st, 3)
+	x, y := kg.Var("x"), kg.Var("y")
+	// The predicates overlap and two inputs leave the predicate free, so most
+	// (x, y) bindings reach the merge through several inputs; the last input
+	// binds y only and is the ShardedListScan's cross-shard dedup shape.
+	pats := []kg.Pattern{
+		kg.NewPattern(x, kg.Const(8), y),
+		kg.NewPattern(x, kg.Const(9), y),
+		kg.NewPattern(x, kg.Var("free_p"), y),
+		kg.NewPattern(x, kg.Const(10), y),
+		kg.NewPattern(kg.Var("free_s"), kg.Var("free_p"), y),
+	}
+	weights := []float64{1, 0.9, 0.6, 0.9, 0.3}
+	vs := kg.NewVarSet(kg.NewQuery(pats[0]))
+	answers := make([][]kg.Answer, len(pats))
+	for i, p := range pats {
+		for _, e := range Drain(NewListScan(st, vs, p, 1, 0, nil)) {
+			answers[i] = append(answers[i], kg.Answer{Binding: e.Binding, Score: e.Score, Relaxed: 1 << 7})
+		}
+	}
+	kinds := []struct {
+		name  string
+		build func(i int, c *Counter) Stream
+	}{
+		{"ListScan", func(i int, c *Counter) Stream {
+			return NewListScan(st, vs, pats[i], weights[i], 1<<uint(i), c)
+		}},
+		{"ShardedListScan", func(i int, c *Counter) Stream {
+			return NewShardedListScan(ss, vs, pats[i], weights[i], 1<<uint(i), c)
+		}},
+		{"AnswerScan", func(i int, c *Counter) Stream {
+			return NewAnswerScan(answers[i], weights[i], 1<<uint(i), c)
+		}},
+		{"Stream", func(i int, c *Counter) Stream {
+			return &selfCountingStream{inner: NewListScan(st, vs, pats[i], weights[i], 1<<uint(i), nil), c: c}
+		}},
+	}
+	type refEntry struct {
+		e  Entry
+		in int
+	}
+	for _, kind := range kinds {
+		var ref []refEntry
+		for i := range pats {
+			for _, e := range Drain(kind.build(i, nil)) {
+				ref = append(ref, refEntry{e, i})
+			}
+		}
+		total := len(ref)
+		slices.SortStableFunc(ref, func(a, b refEntry) int { return cmp.Compare(b.e.Score, a.e.Score) })
+		seen := map[string]bool{}
+		ref = slices.DeleteFunc(ref, func(r refEntry) bool {
+			k := r.e.Binding.Key()
+			dup := seen[k]
+			seen[k] = true
+			return dup
+		})
+		if 2*len(ref) > total {
+			t.Fatalf("%s: %d distinct bindings of %d entries; the inputs must mostly repeat each other", kind.name, len(ref), total)
+		}
+		for _, k := range []int{math.MaxInt, len(ref) / 3} {
+			c := &Counter{}
+			ins := make([]Stream, len(pats))
+			for i := range pats {
+				ins[i] = kind.build(i, c)
+			}
+			got := DrainK(NewIncrementalMerge(ins, c), k)
+			want := ref[:min(k, len(ref))]
+			if len(got) != len(want) {
+				t.Fatalf("%s k=%d: %d entries, want %d", kind.name, k, len(got), len(want))
+			}
+			perInput := make([]int, len(pats))
+			for j, w := range want {
+				g := got[j]
+				if g.Binding.Compare(w.e.Binding) != 0 || math.Float64bits(g.Score) != math.Float64bits(w.e.Score) || g.Relaxed != w.e.Relaxed {
+					t.Fatalf("%s k=%d: entry %d is %v, want %v from input %d", kind.name, k, j, g, w.e, w.in)
+				}
+				perInput[w.in]++
+			}
+			if sc, ok := ins[0].(*selfCountingStream); ok {
+				var pulls int64
+				for _, in := range ins {
+					pulls += in.(*selfCountingStream).pulls
+				}
+				if pulls <= int64(len(got)) || c.Value() != int64(len(got))+pulls {
+					t.Fatalf("%s k=%d: %d objects for %d emitted and %d pulled by %T", kind.name, k, c.Value(), len(got), pulls, sc)
+				}
+				continue
+			}
+			if c.Value() != 2*int64(len(got)) {
+				t.Fatalf("%s k=%d: %d objects for %d emitted, want exactly 2 per entry", kind.name, k, c.Value(), len(got))
+			}
+			// Only the emitted entries were cloned: a rejected or pending
+			// head added nothing to any arena.
+			for i, in := range ins {
+				ids := 0
+				switch s := in.(type) {
+				case *ListScan:
+					ids = arenaIDs(&s.arena)
+				case *ShardedListScan:
+					for _, sub := range s.subs {
+						ids += arenaIDs(&sub.arena)
+					}
+				}
+				if _, ok := in.(*AnswerScan); !ok && ids != perInput[i]*vs.Len() {
+					t.Fatalf("%s k=%d: input %d cloned %d IDs for %d emitted entries of width %d", kind.name, k, i, ids, perInput[i], vs.Len())
+				}
+			}
 		}
 	}
 }

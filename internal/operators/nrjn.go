@@ -13,6 +13,11 @@ import (
 // strategy ablation. Join-key comparison and emitted-binding dedup use
 // packed kg.BindingKeys; merged bindings come from a slab arena.
 //
+// It compares whole join keys, so an entry whose relaxation left a join
+// variable unbound (NoID) joins only entries unbound at the same variables,
+// where RankJoin joins it with every compatible entry. The ablation keeps
+// that keying because NRJN is deleted outright (ROADMAP item 1a).
+//
 // The inner input must be Resettable.
 type NRJN struct {
 	outer    Stream

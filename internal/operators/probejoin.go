@@ -23,17 +23,17 @@ import (
 // with the merge's rule (higher weighted score first, then lower input
 // index), and join results carry the same scores and Relaxed bits.
 //
-// It departs from RankJoin where a relaxation replaced a join variable with
-// a constant, so that an input or a left entry leaves a join variable
-// unbound (NoID). RankJoin keys its hash tables on the join variables and
-// joins nothing under such a key. ProbeJoin treats the unbound variable as
-// unconstrained, as the exact evaluation of the relaxed query
-// (Executor.Naive) does. An input that does not bind a key variable takes
-// the probing entry's value for it, so a match that the merge would keep
-// apart from the original pattern's match of the same triple collapses into
-// it, keeping the better one, as the exact evaluation's max over derivations
-// does. A left entry with NoID at a key variable probes with that variable
-// free.
+// Where a relaxation replaced a join variable with a constant, so that an
+// input or a left entry leaves a join variable unbound (NoID), both joins
+// treat the variable as unconstrained and give the answers and scores of
+// the exact evaluation of the relaxed query (Executor.Naive). An input that
+// does not bind a key variable takes the probing entry's value for it, so a
+// match that the merge would keep apart from the original pattern's match
+// of the same triple collapses into it here, keeping the better one, where
+// RankJoin keeps the better of the two results of one binding at its
+// emitted set; of two equal-score derivations the joins may report
+// different Relaxed bits. A left entry with NoID at a key variable probes
+// with that variable free.
 //
 // Results are emitted in descending score order once they reach the
 // threshold
@@ -47,10 +47,11 @@ import (
 // values on the leg's variables) share one probe: its candidates are
 // collected once, deduplicated per binding and sorted best first into a
 // group. Each left entry with candidates becomes a cursor into its group, and
-// one heap orders the cursors by the score of their next join result, so a
-// result — and the inner binding behind it — is materialised only when it is
-// emitted. Every structure comes from the execution's Workspace; the
-// per-entry path touches no Go map.
+// one heap orders the cursors by the score of their next join result. A
+// result is built in scratch from the left binding and the candidate triple,
+// checked against the emitted set, and materialised and counted only when it
+// is new; no inner binding is ever materialised. Every structure comes from
+// the execution's Workspace; the per-entry path touches no Go map.
 type ProbeJoin struct {
 	left    Stream
 	g       kg.Prober
@@ -78,7 +79,7 @@ type ProbeJoin struct {
 	emitKeyer *kg.Keyer
 	emitted   keyTab // set form: keys of emitted bindings
 	arena     bindingArena
-	scratch   kg.Binding
+	scratch   kg.Binding // the join result pop builds
 
 	ws                 *Workspace
 	visit              func(kg.Triple)
@@ -131,12 +132,12 @@ type objInput struct {
 }
 
 // probeCand is one candidate inner binding of a group: the matching triple's
-// IDs, its weighted score and input, and the inner binding once materialised.
+// IDs, its weighted score and its input. The inner binding itself is never
+// materialised: innerAt and pop read it off the triple.
 type probeCand struct {
 	score float64
 	t     [3]kg.ID
 	input int32
-	inner kg.Binding
 }
 
 // probeCursor is a left entry walking its group's candidates: the next join
@@ -410,7 +411,6 @@ func (pj *ProbeJoin) probe(l Entry) int32 {
 				n++
 			}
 		}
-		clear(group[n:])
 		group = group[:n]
 		slices.SortFunc(group, pj.byScore)
 		hi = lo + n
@@ -499,32 +499,23 @@ func (pj *ProbeJoin) fixRoot() {
 	}
 }
 
-// pop materialises the root cursor's join result — and, on its first use,
-// the inner binding behind it — then advances the cursor.
-func (pj *ProbeJoin) pop() Entry {
+// pop builds the root cursor's join result in scratch — the left binding
+// overlaid with the candidate's values of the leg's variables, as
+// Binding.Merge would overlay the inner binding — then advances the cursor.
+// It returns the result's score and Relaxed bits.
+func (pj *ProbeJoin) pop() (float64, uint32) {
 	c := pj.heap[0]
 	cur := &pj.curs[c]
 	l := cur.left
 	cand := &pj.cands[cur.pos]
 	in := &pj.inputs[cand.input]
-	if cand.inner == nil {
-		for _, v := range pj.legVars {
-			pj.scratch[v] = kg.NoID
-			if p := in.at[v]; p >= 0 {
-				pj.scratch[v] = cand.t[p]
-			}
+	copy(pj.scratch, l.Binding)
+	for _, v := range pj.legVars {
+		if p := in.at[v]; p >= 0 {
+			pj.scratch[v] = cand.t[p]
 		}
-		cand.inner = pj.arena.clone(pj.scratch)
-		pj.counter.Inc()
-		pj.stats.Created()
 	}
-	e := Entry{
-		Binding: pj.arena.merge(l.Binding, cand.inner),
-		Score:   l.Score + cand.score,
-		Relaxed: l.Relaxed | in.Mask,
-	}
-	pj.counter.Inc()
-	pj.stats.Created()
+	score, relaxed := l.Score+cand.score, l.Relaxed|in.Mask
 	if cur.pos++; cur.pos == cur.end {
 		n := len(pj.heap) - 1
 		pj.heap[0] = pj.heap[n]
@@ -534,7 +525,7 @@ func (pj *ProbeJoin) pop() Entry {
 		cur.score = l.Score + pj.cands[cur.pos].score
 	}
 	pj.fixRoot()
-	return e
+	return score, relaxed
 }
 
 // threshold bounds the results of left entries not yet pulled; once the
@@ -604,12 +595,15 @@ func (pj *ProbeJoin) Next() (Entry, bool) {
 		}
 		t := pj.threshold()
 		if len(pj.heap) > 0 && pj.curs[pj.heap[0]].score >= t-1e-12 {
-			e := pj.pop()
-			if !pj.emitted.add(pj.emitKeyer.Key(e.Binding)) {
+			score, relaxed := pj.pop()
+			if !pj.emitted.add(pj.emitKeyer.Key(pj.scratch)) {
 				pj.stats.DedupDrop()
 				continue
 			}
-			pj.last = e.Score
+			e := Entry{Binding: pj.arena.clone(pj.scratch), Score: score, Relaxed: relaxed}
+			pj.counter.Inc()
+			pj.stats.Created()
+			pj.last = score
 			pj.cert = t
 			if pj.stats != nil {
 				pj.stats.Emit()

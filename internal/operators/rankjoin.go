@@ -22,6 +22,15 @@ import (
 // result queue is a heap of slab indexes — so the join allocates only when a
 // slab or table doubles, never per probe or per key, and not even then when
 // its Counter carries a warm Workspace.
+//
+// An entry whose relaxation replaced a join variable with a constant leaves
+// that variable unbound (NoID) and has no join key. It joins every entry of
+// the other side that agrees with it where both are bound, as the exact
+// evaluation of the relaxed query does: such an entry goes on its side's
+// loose list instead of the hash table, a keyed arrival also scans the
+// other side's loose list, and a loose arrival scans every entry of the
+// other side. CompatibleWith decides each pair, and a pair is enqueued once,
+// when the later of its two entries arrives.
 type RankJoin struct {
 	left, right Stream
 	joinVars    []int // variable indexes bound on both sides
@@ -176,21 +185,53 @@ func (rj *RankJoin) pullOne() bool {
 			rj.leftDone = true
 			return !rj.rightDone
 		}
-		key := rj.joinKeyer.Key(e.Binding)
-		rj.leftTab.add(key, e)
-		for i := rj.rightTab.tab.head(key); i >= 0; i = rj.rightTab.next[i] {
-			rj.enqueue(e, rj.rightTab.ents[i])
-		}
+		rj.arrive(e, &rj.leftTab, &rj.rightTab, true)
 	} else {
 		e, ok := rj.right.Next()
 		if !ok {
 			rj.rightDone = true
 			return !rj.leftDone
 		}
-		key := rj.joinKeyer.Key(e.Binding)
-		rj.rightTab.add(key, e)
-		for i := rj.leftTab.tab.head(key); i >= 0; i = rj.leftTab.next[i] {
-			rj.enqueue(rj.leftTab.ents[i], e)
+		rj.arrive(e, &rj.rightTab, &rj.leftTab, false)
+	}
+	return true
+}
+
+// arrive adds e to its side's table own and enqueues its join results with
+// the entries of the other side, other, seen so far. left reports whether e
+// is a left entry.
+func (rj *RankJoin) arrive(e Entry, own, other *joinTab, left bool) {
+	if !rj.keyed(e.Binding) {
+		own.addLoose(e)
+		for i := range other.ents {
+			rj.pair(e, other.ents[i], left)
+		}
+		return
+	}
+	key := rj.joinKeyer.Key(e.Binding)
+	own.add(key, e)
+	for i := other.tab.head(key); i >= 0; i = other.next[i] {
+		rj.pair(e, other.ents[i], left)
+	}
+	for _, i := range other.loose {
+		rj.pair(e, other.ents[i], left)
+	}
+}
+
+// pair enqueues the join result of the arriving entry e with o.
+func (rj *RankJoin) pair(e, o Entry, left bool) {
+	if left {
+		rj.enqueue(e, o)
+	} else {
+		rj.enqueue(o, e)
+	}
+}
+
+// keyed reports whether b binds every join variable.
+func (rj *RankJoin) keyed(b kg.Binding) bool {
+	for _, v := range rj.joinVars {
+		if b[v] == kg.NoID {
+			return false
 		}
 	}
 	return true
@@ -211,11 +252,13 @@ func (rj *RankJoin) enqueue(l, r Entry) {
 }
 
 // joinTab is one side's hash table: an append-only entry slab, chained per
-// join key in insertion order by next links and a keyTab in chain form.
+// join key in insertion order by next links and a keyTab in chain form, and
+// the loose list of entries without a join key.
 type joinTab struct {
-	ents []Entry
-	next []int32 // slab index of the next entry with the same key, or -1
-	tab  keyTab  // its ws is the workspace of ents and next too
+	ents  []Entry
+	next  []int32 // slab index of the next entry with the same key, or -1
+	loose []int32 // slab indexes of the entries with an unbound join variable
+	tab   keyTab  // its ws is the workspace of ents, next and loose too
 }
 
 func (j *joinTab) add(k kg.BindingKey, e Entry) {
@@ -225,6 +268,13 @@ func (j *joinTab) add(k kg.BindingKey, e Entry) {
 	if prev := j.tab.push(k, i); prev >= 0 {
 		j.next[prev] = i
 	}
+}
+
+// addLoose appends e, which has no join key, to the slab and the loose list.
+func (j *joinTab) addLoose(e Entry) {
+	j.ents = append(grow2(j.tab.ws.entryPool(), j.ents), e)
+	j.next = append(grow2(j.tab.ws.indexPool(), j.next), -1)
+	j.loose = append(grow2(j.tab.ws.indexPool(), j.loose), int32(len(j.ents)-1))
 }
 
 // resultQueue buffers join results until they are provably final: an

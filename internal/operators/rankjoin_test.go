@@ -177,6 +177,40 @@ func TestRankJoinMemoryCounter(t *testing.T) {
 	}
 }
 
+// TestRankJoinUnboundJoinVariable: an entry whose relaxation left a join
+// variable unbound joins every entry of the other side that agrees with it
+// where both are bound, whichever side arrives first, and each pair is
+// enqueued once. Variables: 0 x, 1 y (the join variable), 2 z.
+func TestRankJoinUnboundJoinVariable(t *testing.T) {
+	ent := func(x, y, z kg.ID, score float64) Entry {
+		return Entry{Binding: kg.Binding{x, y, z}, Score: score}
+	}
+	no := kg.NoID
+	left := &sliceStream{entries: []Entry{ent(1, 10, no, 1), ent(2, no, no, 0.9), ent(3, 11, no, 0.2)}}
+	right := &sliceStream{entries: []Entry{ent(no, 10, 20, 1), ent(no, 12, 21, 0.8), ent(no, no, 22, 0.5)}}
+	c := &Counter{}
+	got := Drain(NewRankJoin(left, right, []int{1}, c))
+	want := []Entry{
+		ent(1, 10, 20, 2),
+		ent(2, 10, 20, 1.9),
+		ent(2, 12, 21, 1.7),
+		ent(1, 10, 22, 1.5),
+		ent(2, no, 22, 1.4),
+		ent(3, 11, 22, 0.7),
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d results %v, want %d", len(got), got, len(want))
+	}
+	for i := range want {
+		if got[i].Binding.Compare(want[i].Binding) != 0 || math.Abs(got[i].Score-want[i].Score) > 1e-12 {
+			t.Fatalf("result %d is %v, want %v", i, got[i], want[i])
+		}
+	}
+	if c.Value() != int64(len(want)) {
+		t.Fatalf("%d results enqueued, want each of the %d pairs once", c.Value(), len(want))
+	}
+}
+
 func TestJoinVars(t *testing.T) {
 	l := map[int]bool{0: true, 2: true, 5: true}
 	r := map[int]bool{2: true, 5: true, 7: true}

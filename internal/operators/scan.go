@@ -16,9 +16,11 @@ import (
 // entirely.
 //
 // The scan binds each candidate triple into a reusable scratch binding and
-// clones — from a slab arena — only on emit, so non-matching candidates and
-// dedup-suppressed repeats cost zero allocations, and emits amortise to one
-// allocation per arenaChunkEntries entries.
+// clones — from a slab arena — only on hand-off, so non-matching candidates
+// and dedup-suppressed repeats cost zero allocations, and hand-offs amortise
+// to one allocation per arenaChunkEntries entries. Next is advance then
+// take; an IncrementalMerge calls the two itself, so a head it ranks but
+// never emits is neither cloned nor counted.
 type ListScan struct {
 	store   kg.Graph
 	weight  float64
@@ -28,16 +30,17 @@ type ListScan struct {
 	list []int32
 	max  float64
 	pos  int
-	// lastIdx is the store-local index of the triple behind the most recent
-	// emission — the tiebreak ShardedListScan needs to interleave per-shard
-	// sub-scans in exact global order.
-	lastIdx int32
+	// headIdx is the store-local index of the triple behind the current head
+	// and head its score — the tiebreak ShardedListScan needs to interleave
+	// per-shard sub-scans in exact global order.
+	headIdx int32
+	head    float64
 
 	// Compiled binder: one slot per pattern position, resolved against the
 	// variable set once at construction so Next never does a map lookup.
 	slots   [3]bindSlot
 	touched []int      // distinct variable indexes this pattern binds
-	scratch kg.Binding // reused across candidates; cloned only on emit
+	scratch kg.Binding // the current head's binding; cloned only by take
 	arena   bindingArena
 
 	// keyer is nil, and seen unused, when the pattern provably cannot
@@ -183,8 +186,10 @@ func (s *ListScan) bind(t kg.Triple) bool {
 	return true
 }
 
-// Next implements Stream.
-func (s *ListScan) Next() (Entry, bool) {
+// advance moves the scan to its next entry without handing it off: the
+// entry's binding is left in the scratch slot (view) and its score is
+// returned. ok is false when the list is exhausted.
+func (s *ListScan) advance() (float64, bool) {
 	for s.pos < len(s.list) {
 		ti := s.list[s.pos]
 		t := s.store.Triple(ti)
@@ -197,22 +202,38 @@ func (s *ListScan) Next() (Entry, bool) {
 			s.stats.DedupDrop()
 			continue
 		}
-		score := 0.0
+		s.head = 0
 		if s.max > 0 {
-			score = s.weight * t.Score / s.max
+			s.head = s.weight * t.Score / s.max
 		}
-		s.last = score
-		s.lastIdx = ti
-		s.counter.Inc()
-		if s.stats != nil {
-			s.stats.Emit()
-			s.stats.SampleBound(score)
-			s.stats.SetArenaBytes(s.arena.bytes())
-		}
-		return Entry{Binding: s.arena.clone(s.scratch), Score: score, Relaxed: s.mask}, true
+		s.headIdx = ti
+		return s.head, true
 	}
 	s.last = 0
-	return Entry{}, false
+	return 0, false
+}
+
+// view is the current head's binding, valid until the next advance.
+func (s *ListScan) view() kg.Binding { return s.scratch }
+
+// take hands the current head off: cloned from the arena and counted.
+func (s *ListScan) take() Entry {
+	s.last = s.head
+	s.counter.Inc()
+	if s.stats != nil {
+		s.stats.Emit()
+		s.stats.SampleBound(s.head)
+		s.stats.SetArenaBytes(s.arena.bytes())
+	}
+	return Entry{Binding: s.arena.clone(s.scratch), Score: s.head, Relaxed: s.mask}
+}
+
+// Next implements Stream.
+func (s *ListScan) Next() (Entry, bool) {
+	if _, ok := s.advance(); !ok {
+		return Entry{}, false
+	}
+	return s.take(), true
 }
 
 // Reset implements Resettable. It invalidates entries previously returned by

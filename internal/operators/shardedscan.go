@@ -35,6 +35,9 @@ type ShardedListScan struct {
 	top    float64
 	last   float64
 	primed bool
+	// held marks the heap's root as the current head, which the next
+	// advance moves past first, so its view stays valid until then.
+	held bool
 
 	// stats is the merged scan's trace node; the per-shard sub-scans carry
 	// nil counters and stay untraced individually — the merge records the
@@ -43,11 +46,12 @@ type ShardedListScan struct {
 	stats *trace.Node
 }
 
-// shardHead is one sub-scan's current head in the merge heap.
+// shardHead is one sub-scan's current head in the merge heap; its binding
+// is the sub-scan's scratch slot.
 type shardHead struct {
-	entry Entry
-	raw   float64 // raw (unnormalised) triple score behind the entry
-	g     int32   // global triple index behind the entry
+	score float64 // the head's normalised, weighted score
+	raw   float64 // raw (unnormalised) triple score behind the head
+	g     int32   // global triple index behind the head
 	sub   int32   // index into subs/glob
 }
 
@@ -141,20 +145,29 @@ func NewShardedListScan(ss kg.ShardedGraph, vs *kg.VarSet, p kg.Pattern, weight 
 	return s
 }
 
-// pull advances sub i and pushes (or refreshes) its head; ok reports whether
-// the sub produced one.
+// pull advances sub i to its next head; ok reports whether it has one.
 func (s *ShardedListScan) pull(i int32) (shardHead, bool) {
 	sub := s.subs[i]
-	e, ok := sub.Next()
+	score, ok := sub.advance()
 	if !ok {
 		return shardHead{}, false
 	}
 	return shardHead{
-		entry: e,
-		raw:   sub.store.Triple(sub.lastIdx).Score,
-		g:     s.glob[i][sub.lastIdx],
+		score: score,
+		raw:   sub.store.Triple(sub.headIdx).Score,
+		g:     s.glob[i][sub.headIdx],
 		sub:   i,
 	}, true
+}
+
+// step moves the root's sub-scan past its head.
+func (s *ShardedListScan) step() {
+	if nh, ok := s.pull(s.heads[0].sub); ok {
+		s.heads[0] = nh
+		heapFixRoot(s.heads)
+	} else {
+		heapPop(&s.heads)
+	}
 }
 
 func (s *ShardedListScan) prime() {
@@ -175,36 +188,54 @@ func (s *ShardedListScan) TopScore() float64 { return s.top }
 // Bound implements Stream.
 func (s *ShardedListScan) Bound() float64 { return s.last }
 
-// Next implements Stream.
-func (s *ShardedListScan) Next() (Entry, bool) {
+// advance moves to the scan's next entry, the heap's root, without handing
+// it off; its binding is then view.
+func (s *ShardedListScan) advance() (float64, bool) {
 	s.prime()
+	if s.held {
+		s.held = false
+		s.step()
+	}
 	for len(s.heads) > 0 {
-		h := s.heads[0]
 		s.stats.Pull()
-		if nh, ok := s.pull(h.sub); ok {
-			s.heads[0] = nh
-			heapFixRoot(s.heads)
-		} else {
-			heapPop(&s.heads)
-		}
 		if s.seen != nil {
-			key := s.keyer.Key(h.entry.Binding)
+			key := s.keyer.Key(s.view())
 			if s.seen[key] {
 				s.stats.DedupDrop()
+				s.step()
 				continue
 			}
 			s.seen[key] = true
 		}
-		s.last = h.entry.Score
-		s.counter.Inc()
-		if s.stats != nil {
-			s.stats.Emit()
-			s.stats.SampleBound(h.entry.Score)
-		}
-		return h.entry, true
+		s.held = true
+		return s.heads[0].score, true
 	}
 	s.last = 0
-	return Entry{}, false
+	return 0, false
+}
+
+// view is the current head's binding, valid until the next advance.
+func (s *ShardedListScan) view() kg.Binding { return s.subs[s.heads[0].sub].scratch }
+
+// take hands the current head off: cloned from its sub-scan's arena (the
+// sub-scans count nothing) and counted here.
+func (s *ShardedListScan) take() Entry {
+	e := s.subs[s.heads[0].sub].take()
+	s.last = e.Score
+	s.counter.Inc()
+	if s.stats != nil {
+		s.stats.Emit()
+		s.stats.SampleBound(e.Score)
+	}
+	return e
+}
+
+// Next implements Stream.
+func (s *ShardedListScan) Next() (Entry, bool) {
+	if _, ok := s.advance(); !ok {
+		return Entry{}, false
+	}
+	return s.take(), true
 }
 
 // Reset implements Resettable. Like ListScan.Reset it invalidates previously
@@ -214,7 +245,7 @@ func (s *ShardedListScan) Reset() {
 		sub.Reset()
 	}
 	s.heads = s.heads[:0]
-	s.primed = false
+	s.primed, s.held = false, false
 	s.last = s.top
 	if s.seen != nil {
 		clear(s.seen)
