@@ -12,8 +12,9 @@ import (
 // that within a key every run is ordered by raw score descending (triple
 // index ascending as tiebreak). This is the paper's cost model made literal:
 // the database engine "retrieve[s] the matches for triple patterns in sorted
-// order", and at query time the retrieval is a binary search and a slice
-// view, with no locking, filtering or allocation.
+// order", and at query time the retrieval is a windowed binary search over
+// a key column (one slot wide on a dense column) and a slice view, with no
+// locking, filtering or allocation.
 //
 // No map addresses the arenas. Three sorted distinct-key columns — the S, P
 // and O values present in the segment — each carry an offset column, and
@@ -231,10 +232,26 @@ func (po *postings) canonical(a, b int32) int {
 }
 
 // run returns id's range [lo, hi) in every family led by position pos,
-// empty when no surviving triple carries id there.
+// empty when no surviving triple carries id there. A key column holds
+// distinct IDs in ascending order, so key i lies in [first+i, last-(n-1-i)]
+// and id can only sit at an index in [n-1-(last-id), id-first]. The search
+// finds the first key not below id inside that window, taking its last slot
+// when every key before it is below; on a dense column the window is one
+// slot and the search makes no comparison. The bounds are clamped in ID
+// space, so a gap wider than int can hold never reaches an index.
 func (po *postings) run(pos int, id ID) (int32, int32) {
 	keys := po.keys[pos]
-	i, j := 0, len(keys)
+	n := len(keys)
+	if n == 0 || id < keys[0] || id > keys[n-1] {
+		return 0, 0
+	}
+	i, j := 0, n-1
+	if d := keys[n-1] - id; d < ID(n-1) {
+		i = n - 1 - int(d)
+	}
+	if d := id - keys[0]; d < ID(n-1) {
+		j = int(d)
+	}
 	for i < j {
 		h := int(uint(i+j) >> 1)
 		if keys[h] < id {
@@ -243,7 +260,7 @@ func (po *postings) run(pos int, id ID) (int32, int32) {
 			j = h
 		}
 	}
-	if i == len(keys) || keys[i] != id {
+	if keys[i] != id {
 		return 0, 0
 	}
 	return po.offs[pos][i], po.offs[pos][i+1]

@@ -2,8 +2,10 @@ package kg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -276,6 +278,67 @@ func TestLargeRawIDs(t *testing.T) {
 	check("compact")
 }
 
+// TestPostingsRunMatchesBinarySearch: run's windowed search finds what a
+// plain binary search over the key column finds, on a fully dense column,
+// a 60 %-filled one, a sparse one, a single key, and columns touching ID 0
+// and the largest ID. Every id from two below the first key to two above
+// the last is looked up (within three of some key where the span is too
+// wide to walk), plus 0 and the largest ID.
+func TestPostingsRunMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	dense := make([]ID, 20000)
+	for i := range dense {
+		dense[i] = ID(121 + i)
+	}
+	var filled []ID
+	for id := ID(1000); id < 21000; id++ {
+		if rng.Float64() < 0.6 {
+			filled = append(filled, id)
+		}
+	}
+	columns := map[string][]ID{
+		"dense":     dense,
+		"60%":       filled,
+		"sparse":    {7, 5003, 12001, 20006},
+		"single":    {42},
+		"extremes":  {0, 1, 3, 1 << 20, math.MaxUint32 - 2, math.MaxUint32},
+		"low dense": {0, 1, 2, 3},
+		"top dense": {math.MaxUint32 - 3, math.MaxUint32 - 2, math.MaxUint32 - 1, math.MaxUint32},
+	}
+	for name, keys := range columns {
+		po := &postings{}
+		po.keys[famS] = keys
+		po.offs[famS] = make([]int32, len(keys)+1)
+		for i := range po.offs[famS] {
+			po.offs[famS][i] = int32(2 * i)
+		}
+		check := func(id ID) {
+			lo, hi := po.run(famS, id)
+			var wlo, whi int32
+			if i, ok := slices.BinarySearch(keys, id); ok {
+				wlo, whi = int32(2*i), int32(2*i+2)
+			}
+			if lo != wlo || hi != whi {
+				t.Fatalf("%s: run(%d) = [%d, %d), want [%d, %d)", name, id, lo, hi, wlo, whi)
+			}
+		}
+		check(0)
+		check(math.MaxUint32)
+		first, last := int64(keys[0]), int64(keys[len(keys)-1])
+		if last-first <= 1<<16 {
+			for id := max(first-2, 0); id <= min(last+2, math.MaxUint32); id++ {
+				check(ID(id))
+			}
+			continue
+		}
+		for _, k := range keys {
+			for id := max(int64(k)-3, 0); id <= min(int64(k)+3, math.MaxUint32); id++ {
+				check(ID(id))
+			}
+		}
+	}
+}
+
 // TestLayoutDeterministic pins the posting layout as a function of the
 // triples alone: two Freezes of the same input, and two full Compacts after
 // the same insert/delete/update script, build identical arenas, key columns
@@ -514,6 +577,48 @@ func BenchmarkMatchList(b *testing.B) {
 				st.MatchList(sh.pat)
 			}
 		})
+	}
+}
+
+// BenchmarkProbe measures Prober.Probe on the shape of a star leg's probe:
+// 20 000 subjects over a fully dense S column, each with four predicates and
+// objects drawn from a 60 %-filled O column. "SP" probes an (S, P) key, "O"
+// a (P, O) pattern led by its bound object; successive iterations probe
+// successive keys.
+func BenchmarkProbe(b *testing.B) {
+	rng := rand.New(rand.NewSource(46))
+	var objs []ID
+	for id := ID(30000); len(objs) < 12000; id++ {
+		if rng.Float64() < 0.6 {
+			objs = append(objs, id)
+		}
+	}
+	preds := []ID{1, 2, 3, 4}
+	st := NewStore(nil)
+	for s := ID(121); s < 20121; s++ {
+		for _, p := range preds {
+			tr := Triple{S: s, P: p, O: objs[rng.Intn(len(objs))], Score: float64(1 + rng.Intn(1000))}
+			if err := st.Add(tr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	st.Freeze()
+	pr := st.Pin().(Prober)
+	n := 0
+	count := func(Triple) { n++ }
+	b.Run("SP", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pr.Probe(NewPattern(Const(ID(121+i%20000)), Const(preds[i%4]), Var("o")), count)
+		}
+	})
+	b.Run("O", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pr.Probe(NewPattern(Var("s"), Const(preds[i%4]), Const(objs[i%len(objs)])), count)
+		}
+	})
+	if n == 0 {
+		b.Fatal("no probe matched")
 	}
 }
 

@@ -43,10 +43,11 @@ import (
 // which bounds every result of a left entry not yet pulled: a pulled entry's
 // results are all known the moment it is probed.
 //
-// Work is lazy in both directions. Left entries that share a probe key (their
-// values on the leg's variables) share one probe: its candidates are
-// collected once, deduplicated per binding and sorted best first into a
-// group. Each left entry with candidates becomes a cursor into its group, and
+// Work is lazy in both directions. Each pulled left entry probes once: its
+// candidates are collected, deduplicated per binding and sorted best first
+// into a group. When the probing entry binds every leg variable, all its
+// candidates give one inner binding, so the probe keeps only the best as it
+// goes. Each left entry with candidates becomes a cursor into its group, and
 // one heap orders the cursors by the score of their next join result. A
 // result is built in scratch from the left binding and the candidate triple,
 // checked against the emitted set, and materialised and counted only when it
@@ -63,14 +64,16 @@ type ProbeJoin struct {
 	// projection onto them is its probe key. legVars are all query variables
 	// the leg's inputs bind, ascending.
 	keyVars, legVars []int
-	keyer            *kg.Keyer
-	groups           keyTab  // chain form: probe key → group index
-	gLo, gHi         []int32 // group g's candidates are cands[gLo[g]:gHi[g]]
 	cands            []probeCand
 	fixed            kg.Binding // the probing entry's key values, NoID elsewhere
 	probing          []int32    // inputs the current lookup serves
 	byO              []objInput // the current lookup's inputs by object, or nil
 	look             kg.Pattern // the current lookup
+	// fold is set per probe when every leg variable is a key variable the
+	// probing entry binds, so its candidates share one inner binding and add
+	// keeps the best one, at cands[lo].
+	fold bool
+	lo   int
 
 	// heap orders the cursors by their next join result.
 	curs []probeCursor
@@ -159,7 +162,6 @@ func NewProbeJoin(left Stream, leftVars map[int]bool, g kg.Prober, vs *kg.VarSet
 		counter:   c,
 		ws:        ws,
 		emitKeyer: kg.NewKeyer(),
-		groups:    keyTab{ws: ws},
 		emitted:   keyTab{ws: ws},
 		arena:     bindingArena{ws: ws},
 		fixed:     kg.NewBinding(vs.Len()),
@@ -235,7 +237,6 @@ func NewProbeJoin(left Stream, leftVars map[int]bool, g kg.Prober, vs *kg.VarSet
 			}
 		}
 	}
-	pj.keyer = kg.NewProjKeyer(pj.keyVars)
 	pj.visit = pj.collect
 	pj.byBinding = func(a, b probeCand) int {
 		if c := pj.compareInner(&a, &b); c != 0 {
@@ -349,14 +350,22 @@ func (pj *ProbeJoin) collect(t kg.Triple) {
 	}
 }
 
-// add records t as a candidate of input i.
+// add records t as a candidate of input i; a folding probe keeps only the
+// best candidate by the merge's rule.
 func (pj *ProbeJoin) add(i int32, t kg.Triple) {
 	in := &pj.inputs[i]
 	score := 0.0
 	if in.max > 0 {
 		score = in.Weight * t.Score / in.max
 	}
-	pj.cands = append(grow2(pj.ws.candPool(), pj.cands), probeCand{score: score, t: [3]kg.ID{t.S, t.P, t.O}, input: i})
+	c := probeCand{score: score, t: [3]kg.ID{t.S, t.P, t.O}, input: i}
+	if pj.fold && len(pj.cands) > pj.lo {
+		if best := &pj.cands[pj.lo]; compareBest(&c, best) < 0 {
+			*best = c
+		}
+		return
+	}
+	pj.cands = append(grow2(pj.ws.candPool(), pj.cands), c)
 }
 
 // subst substitutes the probing entry's key values into term.
@@ -367,15 +376,19 @@ func (pj *ProbeJoin) subst(term kg.Term, sl bindSlot) kg.Term {
 	return term
 }
 
-// probe builds the candidate group of left entry l's key and returns its
-// index. Inputs of one class whose S and P are both bound share a single
-// (S, P) lookup; every other input looks up its own substituted pattern.
-func (pj *ProbeJoin) probe(l Entry) int32 {
+// probe builds the candidate group of left entry l and returns its
+// range in cands. Inputs of one class whose S and P are both bound share a
+// single (S, P) lookup; every other input looks up its own substituted
+// pattern.
+func (pj *ProbeJoin) probe(l Entry) (int32, int32) {
 	pj.stats.Probe()
+	pj.fold = len(pj.keyVars) == len(pj.legVars)
 	for _, v := range pj.keyVars {
 		pj.fixed[v] = l.Binding[v]
+		pj.fold = pj.fold && l.Binding[v] != kg.NoID
 	}
 	lo := len(pj.cands)
+	pj.lo = lo
 	for ci := range pj.classes {
 		cl := &pj.classes[ci]
 		in := &pj.inputs[cl.inputs[0]]
@@ -416,28 +429,19 @@ func (pj *ProbeJoin) probe(l Entry) int32 {
 		hi = lo + n
 		pj.cands = pj.cands[:hi]
 	}
-	g := int32(len(pj.gLo))
-	pj.gLo = append(grow2(pj.ws.indexPool(), pj.gLo), int32(lo))
-	pj.gHi = append(grow2(pj.ws.indexPool(), pj.gHi), int32(hi))
-	return g
+	return int32(lo), int32(hi)
 }
 
-// admit turns a pulled left entry into a cursor over its key's group,
-// probing when the key is new.
+// admit probes a pulled left entry and turns it into a cursor over its
+// group.
 func (pj *ProbeJoin) admit(l Entry) {
-	k := pj.keyer.Key(l.Binding)
-	g := pj.groups.head(k)
-	if g < 0 {
-		g = pj.probe(l)
-		pj.groups.push(k, g)
-	}
-	if pj.gLo[g] == pj.gHi[g] {
+	lo, hi := pj.probe(l)
+	if lo == hi {
 		return
 	}
 	c := int32(len(pj.curs))
-	lo := pj.gLo[g]
 	pj.curs = append(grow2(pj.ws.cursorPool(), pj.curs), probeCursor{
-		left: l, score: l.Score + pj.cands[lo].score, pos: lo, end: pj.gHi[g],
+		left: l, score: l.Score + pj.cands[lo].score, pos: lo, end: hi,
 	})
 	pj.heap = append(grow2(pj.ws.indexPool(), pj.heap), c)
 	h := pj.heap

@@ -55,7 +55,7 @@ type Node struct {
 	dedup      int64 // entries suppressed by duplicate elimination
 	abortPolls int64 // cancellation-hook polls (AbortStride boundaries)
 	rescans    int64 // inner-input restarts (NRJN)
-	probes     int64 // index probes, one per distinct probe key (ProbeJoin)
+	probes     int64 // index probes, one per left entry (ProbeJoin)
 	arenaBytes int64 // slab-arena bytes backing emitted bindings
 
 	topScore  float64
