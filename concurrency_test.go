@@ -13,7 +13,7 @@ import (
 
 // TestEngineConcurrentQueries exercises the documented guarantee that one
 // Engine serves concurrent queries safely once the store is frozen: the
-// match-list cache, the statistics catalog and the query-count cache are all
+// match cursors, the statistics catalog and the query-count cache are all
 // hit from multiple goroutines, and every goroutine must see identical
 // answers. Run with -race for the full effect.
 func TestEngineConcurrentQueries(t *testing.T) {
@@ -98,9 +98,9 @@ func TestEngineConcurrentQueries(t *testing.T) {
 // TestShardedQueryBatchHammer is the sharded concurrency hammer: QueryBatch
 // over a multi-segment engine under -race, with a query mix that hits every
 // shared structure at once — recurring shapes share the statistics catalog,
-// S+O-bound and repeated-variable patterns exercise each shard's residual
-// single-flight cache plus the sharded store's merged-list cache, and plain
-// patterns run through the per-shard merge scans. Every
+// S+O-bound and repeated-variable patterns exercise each shard's filtered
+// cursors and the sharded store's merged match lists, and plain patterns
+// run through the per-shard merge scans. Every
 // batch's answers must equal the sequential unsharded reference.
 func TestShardedQueryBatchHammer(t *testing.T) {
 	st := NewStore()

@@ -223,21 +223,17 @@ func bindInto(vs *VarSet, p Pattern, t Triple, b, nb Binding) bool {
 
 // probe is the snapshot-level candidate enumeration behind Prober: it feeds
 // f every live triple of the cheapest candidate posting for sub in each
-// frozen segment, then the head triples the head index narrows sub to. The
-// frozen side deliberately uses the frozen-only lists — the merged
-// frozen⊕head list would replay head triples twice, which would double-count
-// derivations in the exact evaluator. Pending-tombstone victims are masked
-// out through killedSet — a retracted fact must not contribute derivations
-// — while the head needs no mask (deletes remove its entries physically).
+// frozen segment (every survivor, in famS order, when nothing is bound),
+// then the head triples the head index narrows sub to. Pending-tombstone
+// victims are masked out through killedSet — a retracted fact must not
+// contribute derivations — while the head needs no mask (deletes remove its
+// entries physically).
 func (s *storeState) probe(sub Pattern, f func(t Triple)) {
-	var killed []uint64
-	if len(s.tombs) > 0 {
-		killed = s.killedSet()
-	}
+	killed := s.killedSet()
 	emit := func(po *postings) {
 		cand, ok := po.candidates(sub)
 		if !ok {
-			cand = po.matchList(sub)
+			cand = po.arenas[famS]
 		}
 		for _, ti := range cand {
 			if killed == nil || killed[ti>>6]&(1<<(ti&63)) == 0 {

@@ -223,15 +223,16 @@ func WriteGraphSnapshot(w io.Writer, g Graph) (n int, ops uint64, err error) {
 
 // liveFn returns a predicate reporting whether the triple at a local index
 // is live (not retracted) in snapshot s. Frozen indexes consult the latest
-// segment's cumulative dead bitmap plus the pending tombstones; head indexes
-// are live exactly when the overlay still lists them (deletes drop head
-// entries physically).
+// segment's cumulative dead bitmap plus the pending tombstones' killedSet;
+// head indexes are live exactly when the overlay still lists them (deletes
+// drop head entries physically).
 func (s *storeState) liveFn() func(int32) bool {
 	po := s.post
 	if s.l1 != nil {
 		po = s.l1
 	}
 	fl := int32(s.frozenLen())
+	killed := s.killedSet()
 	var head map[int32]struct{}
 	if len(s.headSorted) > 0 {
 		head = make(map[int32]struct{}, len(s.headSorted))
@@ -241,7 +242,7 @@ func (s *storeState) liveFn() func(int32) bool {
 	}
 	return func(i int32) bool {
 		if i < fl {
-			return !po.isDead(i) && !s.killed(i)
+			return !po.isDead(i) && (killed == nil || killed[i>>6]&(1<<(i&63)) == 0)
 		}
 		_, ok := head[i]
 		return ok

@@ -58,44 +58,7 @@ func FuzzLiveStore(f *testing.F) {
 				}
 			}
 			flat.Freeze()
-			if ss.Len() != flat.Len() {
-				t.Fatalf("%s: live Len %d, oracle %d", label, ss.Len(), flat.Len())
-			}
-			if ss.HasDuplicates() != flat.HasDuplicates() {
-				t.Fatalf("%s: HasDuplicates %v, oracle %v", label, ss.HasDuplicates(), flat.HasDuplicates())
-			}
-			for i := 0; i < flat.Len(); i++ {
-				if ss.Triple(int32(i)) != flat.Triple(int32(i)) {
-					t.Fatalf("%s: triple %d differs", label, i)
-				}
-			}
-			for _, p := range shapePatterns() {
-				if got, want := ss.MatchList(p), flat.MatchList(p); !equalLists(got, want) {
-					t.Fatalf("%s pattern %v: list %v, oracle %v", label, p, got, want)
-				}
-				if got, want := ss.MaxScore(p), flat.MaxScore(p); got != want {
-					t.Fatalf("%s pattern %v: max score %v, oracle %v", label, p, got, want)
-				}
-				if got, want := ss.Cardinality(p), flat.Cardinality(p); got != want {
-					t.Fatalf("%s pattern %v: cardinality %d, oracle %d", label, p, got, want)
-				}
-			}
-			q := NewQuery(
-				NewPattern(Var("x"), Const(ID(0)), Var("y")),
-				NewPattern(Var("y"), Const(ID(1)), Var("z")),
-			)
-			got, want := Evaluate(ss, q, nil), Evaluate(flat, q, nil)
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d answers, oracle %d", label, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Binding.Compare(want[i].Binding) != 0 || got[i].Score != want[i].Score {
-					t.Fatalf("%s: answer %d is %v, oracle %v", label, i, got[i], want[i])
-				}
-			}
-			if gc, wc := Count(ss, q), Count(flat, q); gc != wc {
-				t.Fatalf("%s: count %d, oracle %d", label, gc, wc)
-			}
+			assertGraphsAgree(t, label, ss, flat)
 		}
 
 		ops := data[2:]

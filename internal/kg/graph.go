@@ -15,10 +15,10 @@ import (
 // lists (NormalizedScores) — is a free function over a Graph, and rendering
 // needs only the dictionary (Dict.PatternString, Dict.QueryString).
 //
-// Triple indexes handed out by MatchList and accepted by Triple are global:
-// dense, insertion-ordered, and stable across the store's lifetime. Every
-// match list is sorted by raw score descending with the global index as
-// tiebreak — the canonical order all operators and oracles rely on.
+// Triple indexes handed out by Matches and MatchList and accepted by Triple
+// are global: dense, insertion-ordered, and stable across the store's
+// lifetime. Matches are read in raw score descending order with the global
+// index as tiebreak — the canonical order all operators and oracles rely on.
 type Graph interface {
 	// Dict returns the term dictionary shared by every triple.
 	Dict() *Dict
@@ -28,9 +28,14 @@ type Graph interface {
 	Frozen() bool
 	// Triple returns the triple at global index i.
 	Triple(i int32) Triple
-	// MatchList returns the global indexes of triples matching p, sorted by
-	// raw score descending (global index ascending on ties). The result must
-	// not be mutated.
+	// Matches opens a cursor over the global indexes of triples matching p,
+	// in canonical order, on one snapshot. It is the read every operator and
+	// statistic uses: a live snapshot's runs are merged on read, never
+	// copied.
+	Matches(p Pattern) Cursor
+	// MatchList returns Matches drained into a slice: a posting view when one
+	// run holds every match, a fresh slice otherwise. The result must not be
+	// mutated.
 	MatchList(p Pattern) []int32
 	// Cardinality returns the number of triples matching p.
 	Cardinality(p Pattern) int
@@ -322,23 +327,22 @@ func countDerivations(m Prober, q Query, vs *VarSet, order []int) int {
 	return n
 }
 
-// NormalizedScores is the Definition 5 normalisation of p's match list: each
+// NormalizedScores is the Definition 5 normalisation of p's matches: each
 // match's raw score divided by the head (maximum) score, sorted descending
-// and aligned with g.MatchList(p). The slice is freshly allocated and owned
-// by the caller. Centralised so no layout can diverge on the max==0 guard or
+// and aligned with g.Matches(p). The slice is freshly allocated and owned by
+// the caller. Centralised so no layout can diverge on the max==0 guard or
 // the division — the bit-identical contract depends on identical floats.
 func NormalizedScores(g Graph, p Pattern) []float64 {
-	l := g.MatchList(p)
-	out := make([]float64, len(l))
-	if len(l) == 0 {
-		return out
+	c := g.Matches(p)
+	out := make([]float64, 0, c.count())
+	for ti, ok := c.Next(); ok; ti, ok = c.Next() {
+		out = append(out, g.Triple(ti).Score)
 	}
-	max := g.Triple(l[0]).Score
-	if max == 0 {
-		return out
-	}
-	for i, ti := range l {
-		out[i] = g.Triple(ti).Score / max
+	if len(out) > 0 && out[0] > 0 { // a zero maximum leaves all-zero scores
+		max := out[0]
+		for i := range out {
+			out[i] /= max
+		}
 	}
 	return out
 }

@@ -105,7 +105,8 @@ func assertMutatedAgree(t *testing.T, label string, g LiveGraph, flat *Store) {
 		t.Fatalf("%s: oracle has duplicates, mutated store reports none", label)
 	}
 	for _, p := range shapePatterns() {
-		got, want := resolveList(g, g.MatchList(p)), resolveList(flat, flat.MatchList(p))
+		list := g.MatchList(p)
+		got, want := resolveList(g, list), resolveList(flat, flat.MatchList(p))
 		if len(got) != len(want) {
 			t.Fatalf("%s pattern %v: %d matches, oracle %d", label, p, len(got), len(want))
 		}
@@ -114,6 +115,7 @@ func assertMutatedAgree(t *testing.T, label string, g LiveGraph, flat *Store) {
 				t.Fatalf("%s pattern %v: match %d is %v, oracle %v", label, p, i, got[i], want[i])
 			}
 		}
+		assertCursors(t, label, g, p, list)
 		var probed []Triple
 		g.Pin().(Prober).Probe(p, func(tr Triple) {
 			if p.Matches(tr) {
@@ -470,9 +472,10 @@ func TestTieredCompaction(t *testing.T) {
 
 // TestMutatedMatchListAllocsAfterCompact is the zero-alloc acceptance guard
 // under mutation: after deletes and updates are fully compacted away (no
-// tombstones, no L1, empty head) indexed MatchList reads on both layouts
-// are allocation-free slice views again — the read path must not pay for
-// mutability it is not using.
+// tombstones, no L1, empty head) indexed MatchList reads on the flat layout
+// are allocation-free slice views again, and the sharded layout's shard
+// cursors open and drain without allocating — the read path must not pay
+// for mutability it is not using.
 func TestMutatedMatchListAllocsAfterCompact(t *testing.T) {
 	dict, triples := randomTripleSeq(t, 4321, 200)
 	pat := NewPattern(Var("s"), Const(ID(1)), Var("o"))
@@ -512,13 +515,20 @@ func TestMutatedMatchListAllocsAfterCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.Compact()
-		g.MatchList(pat) // materialise any merged global list once
-		if allocs := testing.AllocsPerRun(100, func() {
+		read := func() {
 			if len(g.MatchList(pat)) == 0 {
 				t.Fatal("empty list")
 			}
-		}); allocs != 0 {
-			t.Fatalf("shards=%d: compacted post-mutation MatchList: %v allocs, want 0", shards, allocs)
+		}
+		if ss, ok := g.(*ShardedStore); ok {
+			read = func() {
+				if shardMatches(ss, pat) == 0 {
+					t.Fatal("no matches")
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+			t.Fatalf("shards=%d: compacted post-mutation read: %v allocs, want 0", shards, allocs)
 		}
 	}
 }

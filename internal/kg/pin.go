@@ -1,8 +1,8 @@
 package kg
 
 import (
-	"sort"
-	"sync/atomic"
+	"cmp"
+	"slices"
 )
 
 // This file implements snapshot pinning: Graph.Pin captures an immutable
@@ -63,11 +63,14 @@ func (ps *pinnedStore) Triple(i int32) Triple { return ps.s.triples[i].triple() 
 // HasDuplicates implements Graph.
 func (ps *pinnedStore) HasDuplicates() bool { return ps.dup }
 
-// MatchList implements Graph: the snapshot's own (cached) list.
+// MatchList implements Graph.
 func (ps *pinnedStore) MatchList(p Pattern) []int32 { return ps.s.matchList(p) }
 
+// Matches implements Graph.
+func (ps *pinnedStore) Matches(p Pattern) Cursor { return ps.s.cursor(p) }
+
 // Cardinality implements Graph.
-func (ps *pinnedStore) Cardinality(p Pattern) int { return ps.s.cardinality(p) }
+func (ps *pinnedStore) Cardinality(p Pattern) int { return ps.s.cursor(p).count() }
 
 // MaxScore implements Graph: the Definition 5 normalisation constant.
 func (ps *pinnedStore) MaxScore(p Pattern) float64 { return ps.s.maxScore(p) }
@@ -108,23 +111,24 @@ type pinnedSharded struct {
 	dir     *shardedDir
 	shards  []*pinnedStore
 	version uint64
-	// merged lazily caches materialised global match lists for this pin
-	// (cold paths — single-segment scans, oracles; the hot query path merges
-	// per-shard views through ShardedListScan and never fills it).
-	merged atomic.Pointer[listCache]
 }
 
 var _ Prober = (*pinnedSharded)(nil)
 var _ ShardedGraph = (*pinnedSharded)(nil)
 
-// pin captures the current directory snapshot; the embedded shard states
-// were captured with it under the mutator lock, so the whole view is one
-// consistent content version.
+// pin captures the current directory snapshot as a counted view.
 func (ss *ShardedStore) pin() *pinnedSharded {
 	ss.pins.Add(1)
+	return ss.view()
+}
+
+// view captures the current directory snapshot; the embedded shard states
+// were captured with it under the mutator lock, so the whole view is one
+// consistent content version.
+func (ss *ShardedStore) view() *pinnedSharded {
 	d := ss.dir.Load()
 	if d == nil {
-		panic("kg: Pin before Freeze")
+		panic("kg: read before Freeze")
 	}
 	v := ss.version.Load()
 	shards := make([]*pinnedStore, len(d.states))
@@ -218,35 +222,39 @@ func (ps *pinnedSharded) MaxScore(p Pattern) float64 {
 	return max
 }
 
-// MatchList implements Graph: the global match list in canonical order,
-// materialised once per pattern per pin behind a single-flight cache.
-func (ps *pinnedSharded) MatchList(p Pattern) []int32 {
-	c := ps.merged.Load()
-	if c == nil {
-		c = newListCache()
-		if !ps.merged.CompareAndSwap(nil, c) {
-			c = ps.merged.Load()
-		}
+// Matches implements Graph. One shard's local indexes are the global ones,
+// so its cursor serves as is; several shards' matches are merged into a
+// fresh list first (the query path merges them in line through
+// ShardedListScan instead).
+func (ps *pinnedSharded) Matches(p Pattern) Cursor {
+	if len(ps.shards) == 1 {
+		return ps.shards[0].Matches(p)
 	}
-	return c.get(p.Key(), func() []int32 { return ps.mergeMatches(p) })
+	var c Cursor
+	c.add(ps.MatchList(p), false)
+	return c
 }
 
-// mergeMatches translates every shard's match list to global indexes and
-// restores canonical global order.
-func (ps *pinnedSharded) mergeMatches(p Pattern) []int32 {
+// MatchList implements Graph: every shard's matches translated to global
+// indexes, in canonical global order, in a fresh slice.
+func (ps *pinnedSharded) MatchList(p Pattern) []int32 {
+	if len(ps.shards) == 1 {
+		return ps.shards[0].MatchList(p)
+	}
 	var out []int32
 	for si, sh := range ps.shards {
 		glob := ps.dir.global[si]
-		for _, li := range sh.MatchList(p) {
+		c := sh.Matches(p)
+		for li, ok := c.Next(); ok; li, ok = c.Next() {
 			out = append(out, glob[li])
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		ta, tb := ps.Triple(out[a]), ps.Triple(out[b])
-		if ta.Score != tb.Score {
-			return ta.Score > tb.Score
+	slices.SortFunc(out, func(a, b int32) int {
+		sa, sb := ps.Triple(a).Score, ps.Triple(b).Score
+		if sa != sb {
+			return cmp.Compare(sb, sa)
 		}
-		return out[a] < out[b]
+		return cmp.Compare(a, b)
 	})
 	return out
 }

@@ -49,13 +49,13 @@ func pinFixture(t *testing.T, seed int64, n, nFrozen int) (*Store, []Triple) {
 	return st, triples
 }
 
-// pinPatterns covers every match-list shape: indexed postings, residual
+// pinPatterns covers every match-list shape: indexed postings, filtered
 // S+O intersections, repeated variables, and full scans.
 func pinPatterns() []Pattern {
 	var ps []Pattern
 	for s := 0; s < 5; s += 2 {
 		ps = append(ps, NewPattern(Const(ID(s)), Var("p"), Var("o")))     // S-bound
-		ps = append(ps, NewPattern(Const(ID(s)), Var("p"), Const(ID(8)))) // S+O: residual
+		ps = append(ps, NewPattern(Const(ID(s)), Var("p"), Const(ID(8)))) // S+O: filtered
 		ps = append(ps, NewPattern(Const(ID(s)), Const(ID(5)), Var("o"))) // SP
 	}
 	ps = append(ps,

@@ -78,14 +78,10 @@ type postings struct {
 	// the frozen prefix; Count only needs binding dedup in that case.
 	hasDuplicates bool
 
-	// residual caches match lists for patterns no posting serves directly.
-	// Residual lists cover only the frozen prefix; the head overlay is merged
-	// outside this cache, so entries stay valid for the postings' lifetime.
-	residual *listCache
-	// residualComputes points at the owning store's counter of residual-list
-	// computations (shared across compactions), for tests asserting the
-	// cache's single-flight guarantee.
-	residualComputes *atomic.Int64
+	// scan is the segment's survivors in canonical order, the run of a
+	// pattern with no bound position. Built on first use (most workloads
+	// never scan everything) and published by CAS; nil until then.
+	scan atomic.Pointer[[]int32]
 }
 
 // isDead reports whether triple index i was annihilated by a tombstone at or
@@ -115,17 +111,11 @@ func killedBy(tombs map[[3]ID]int32, r *tripleRec, i int32) bool {
 // Freeze) and tombs the tombstone set to resolve: every triple in range that
 // is already dead, or that a tombstone's watermark retracts, is skipped and
 // marked dead — the built arenas hold surviving facts only.
-func buildPostings(triples []tripleRec, lo int32, prevDead []uint64, tombs map[[3]ID]int32, computes *atomic.Int64) *postings {
+func buildPostings(triples []tripleRec, lo int32, prevDead []uint64, tombs map[[3]ID]int32) *postings {
 	nAll := len(triples)
 	dead := make([]uint64, (nAll+63)/64)
 	copy(dead, prevDead)
-	po := &postings{
-		triples:          triples,
-		lo:               lo,
-		dead:             dead,
-		residual:         newListCache(),
-		residualComputes: computes,
-	}
+	po := &postings{triples: triples, lo: lo, dead: dead}
 
 	// ord collects the survivors in canonical order; every family is a
 	// stable redistribution of it, so each run inherits that order.
@@ -316,50 +306,40 @@ func (po *postings) keyRun(k [3]ID) []int32 {
 	return po.sub(famSPO, famS, k[0], tailPO, uint64(k[1])<<32|uint64(k[2]))
 }
 
-// matchList returns the frozen prefix's match list for p: a Freeze-sorted
-// arena view for indexed shapes, the single-flight residual cache otherwise.
-func (po *postings) matchList(p Pattern) []int32 {
+// matches returns the segment's run for p and whether its entries need p's
+// filter: the exact posting for indexed shapes, the candidate posting for
+// the others (S+O bound, repeated variables), and the canonical order of
+// every survivor for a full scan.
+func (po *postings) matches(p Pattern) ([]int32, bool) {
 	if l, ok := po.matchedByIndex(p); ok {
-		return l
+		return l, false
 	}
-	return po.residual.get(p.Key(), func() []int32 { return po.computeMatches(p) })
+	if l, ok := po.candidates(p); ok {
+		return l, true
+	}
+	return po.scanOrder(), p.Key().Shape != 0
 }
 
-// computeMatches filters the smallest candidate posting down to the exact
-// match list. Candidate postings are score-sorted at build time and filtering
-// preserves order, so only the full-scan fallback — which walks triples in
-// insertion order — sorts its result.
-func (po *postings) computeMatches(p Pattern) []int32 {
-	po.residualComputes.Add(1)
-	var out []int32
-	cand, indexed := po.candidates(p)
-	if !indexed {
-		for i := int(po.lo); i < len(po.triples); i++ {
-			if po.isDead(int32(i)) {
-				continue
-			}
-			if p.Matches(po.triples[i].triple()) {
-				out = append(out, int32(i))
-			}
-		}
-		slices.SortFunc(out, po.canonical)
-		return out
+// scanOrder returns every survivor of the segment in canonical order. famS
+// holds each survivor once, so the order is a sorted copy of it.
+func (po *postings) scanOrder() []int32 {
+	if l := po.scan.Load(); l != nil {
+		return *l
 	}
-	for _, i := range cand {
-		if p.Matches(po.triples[i].triple()) {
-			out = append(out, i)
-		}
+	l := slices.Clone(po.arenas[famS])
+	slices.SortFunc(l, po.canonical)
+	if !po.scan.CompareAndSwap(nil, &l) {
+		return *po.scan.Load()
 	}
-	return out
+	return l
 }
 
 // matchedByIndex returns the pre-sorted posting that *is* the match list
 // of p: for these shapes the bound positions pin down the matches completely,
 // so the arena run needs no filtering, sorting, locking or allocation.
-// ok is false for residual shapes — S+O bound (requires an intersection),
-// repeated-variable patterns (require a consistency filter), and full scans
-// (sorted lazily on first use, since most workloads never run one) — which
-// go through the sharded residual cache instead.
+// ok is false for the other shapes — S+O bound (requires an intersection),
+// repeated-variable patterns (require a consistency filter) and full scans
+// (read in a lazily built canonical order; see matches).
 func (po *postings) matchedByIndex(p Pattern) ([]int32, bool) {
 	sb, pb, ob := !p.S.IsVar, !p.P.IsVar, !p.O.IsVar
 	switch {

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 )
 
@@ -167,9 +166,9 @@ func equalLists(a, b []int32) bool {
 
 // TestPostingsAgreeWithOracle is the Freeze-time property test: for every
 // pattern shape — each posting family, the full scan, repeated-variable
-// shapes and the S+O residual — MatchList agrees element-for-element with
-// the naive filter+sort oracle, on small duplicate-heavy stores and on the
-// skewed store's hubs, column edges and absent keys.
+// shapes and the filtered S+O shape — MatchList agrees element-for-element
+// with the naive filter+sort oracle, on small duplicate-heavy stores and on
+// the skewed store's hubs, column edges and absent keys.
 func TestPostingsAgreeWithOracle(t *testing.T) {
 	check := func(name string, st *Store, pats []Pattern) {
 		t.Helper()
@@ -194,7 +193,7 @@ func TestPostingsAgreeWithOracle(t *testing.T) {
 				NewPattern(Var("s"), p, o),                   // famPO
 				NewPattern(s, p, Var("o")),                   // famSP
 				NewPattern(s, p, o),                          // famSPO
-				NewPattern(s, Var("p"), Const(ID((id+3)%8))), // S+O residual
+				NewPattern(s, Var("p"), Const(ID((id+3)%8))), // S+O: filtered
 				NewPattern(s, Var("x"), Var("x")),            // repeated vars, S bound
 				NewPattern(Var("x"), Var("x"), o),            // repeated vars, O bound
 				NewPattern(Var("x"), p, Var("x")),            // repeated vars, P bound
@@ -425,90 +424,12 @@ func TestFullyBoundKeepsDuplicates(t *testing.T) {
 	}
 }
 
-// TestResidualCacheSingleFlight hammers one residual pattern from many
-// goroutines on a cold store and asserts the list was computed exactly once
-// and every caller saw the same backing slice.
-func TestResidualCacheSingleFlight(t *testing.T) {
-	st := randomStore(t, 42, 500)
-	pat := NewPattern(Const(ID(1)), Var("p"), Const(ID(2))) // S+O residual
-	want := oracleMatches(st, pat)
-
-	const workers = 32
-	lists := make([][]int32, workers)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-start
-			lists[w] = st.MatchList(pat)
-		}(w)
-	}
-	close(start)
-	wg.Wait()
-
-	if got := st.residualComputes.Load(); got != 1 {
-		t.Fatalf("residual computes: got %d want 1 (single-flight broken)", got)
-	}
-	for w := 0; w < workers; w++ {
-		if !equalLists(lists[w], want) {
-			t.Fatalf("worker %d: wrong list", w)
-		}
-	}
-}
-
-// TestResidualCacheManyKeysConcurrent misses many distinct residual keys at
-// once; meant to run under -race to exercise shard locking.
-func TestResidualCacheManyKeysConcurrent(t *testing.T) {
-	st := randomStore(t, 7, 400)
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for rep := 0; rep < 20; rep++ {
-				s := ID((w + rep) % 8)
-				o := ID((w * rep) % 8)
-				pat := NewPattern(Const(s), Var("p"), Const(o))
-				got := st.MatchList(pat)
-				for i := 1; i < len(got); i++ {
-					if st.Triple(got[i]).Score > st.Triple(got[i-1]).Score {
-						t.Error("residual list not sorted")
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Distinct keys only ever compute once each: 8×8 = 64 max.
-	if got := st.residualComputes.Load(); got > 64 {
-		t.Fatalf("residual computes: got %d want <= 64", got)
-	}
-}
-
-// TestResidualCachePanicNotPoisoned: a panicking compute must not leave a
-// permanently cached empty list behind — the next lookup retries.
-func TestResidualCachePanicNotPoisoned(t *testing.T) {
-	c := newListCache()
-	key := PatternKey{S: 1, P: 2, O: 3}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("panic did not propagate")
-			}
-		}()
-		c.get(key, func() []int32 { panic("compute bug") })
-	}()
-	got := c.get(key, func() []int32 { return []int32{7, 8} })
-	if !equalLists(got, []int32{7, 8}) {
-		t.Fatalf("post-panic lookup returned %v, cache poisoned", got)
-	}
-}
-
 // TestMatchListZeroAllocs asserts the acceptance criterion directly: after
-// Freeze, MatchList on every indexed shape performs zero allocations.
+// Freeze, MatchList on every indexed shape performs zero allocations, and so
+// do opening and draining a cursor — on a quiescent store for the filtered
+// shapes (S+O bound, repeated variables, full scans), and on a live store
+// with a head, an L1 tier and pending tombstones for every shape, once the
+// snapshot's tombstone bitmap and full-scan orders exist.
 func TestMatchListZeroAllocs(t *testing.T) {
 	st := randomStore(t, 3, 1000)
 	shapes := map[string]Pattern{
@@ -527,24 +448,71 @@ func TestMatchListZeroAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
 	}
-	// Warm residual patterns — S+O bound and full scans — are also
-	// allocation-free (cache hit).
-	for name, res := range map[string]Pattern{
-		"S+O":  NewPattern(Const(ID(1)), Var("p"), Const(ID(2))),
-		"scan": NewPattern(Var("s"), Var("p"), Var("o")),
+	drain := func(g Graph, p Pattern) func() {
+		return func() {
+			c := g.Matches(p)
+			for _, ok := c.Next(); ok; _, ok = c.Next() {
+			}
+		}
+	}
+	for name, pat := range map[string]Pattern{
+		"S+O":      NewPattern(Const(ID(1)), Var("p"), Const(ID(2))),
+		"repeated": NewPattern(Var("x"), Const(ID(1)), Var("x")),
+		"scan":     NewPattern(Var("s"), Var("p"), Var("o")),
 	} {
-		res := res
-		st.MatchList(res)
-		if allocs := testing.AllocsPerRun(100, func() {
-			st.MatchList(res)
-		}); allocs != 0 {
-			t.Errorf("warm residual %s: %v allocs/op, want 0", name, allocs)
+		drain(st, pat)()
+		if allocs := testing.AllocsPerRun(100, drain(st, pat)); allocs != 0 {
+			t.Errorf("filtered %s cursor: %v allocs/op, want 0", name, allocs)
+		}
+	}
+
+	live := tieredLiveStore(t)
+	if live.HeadLen() == 0 || live.L1Len() == 0 || live.Tombstones() == 0 {
+		t.Fatalf("live store: head %d, L1 %d, tombstones %d; want all > 0",
+			live.HeadLen(), live.L1Len(), live.Tombstones())
+	}
+	for _, pat := range shapePatterns() {
+		drain(live, pat)()
+		if allocs := testing.AllocsPerRun(20, drain(live, pat)); allocs != 0 {
+			t.Errorf("live cursor %v: %v allocs/op, want 0", pat, allocs)
 		}
 	}
 }
 
+// tieredLiveStore returns a store whose snapshot has every run a cursor
+// merges: a main segment, an L1 tier, a head and pending tombstones.
+func tieredLiveStore(t testing.TB) *Store {
+	t.Helper()
+	dict, triples := randomTripleSeq(t, 47, 300)
+	st := NewStore(dict)
+	for _, tr := range triples[:200] {
+		if err := st.Add(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Freeze()
+	st.SetHeadLimit(16)
+	st.SetL1Limit(1 << 30)
+	for _, tr := range triples[200:] {
+		if err := st.Insert(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.SetHeadLimit(-1)
+	for i := 0; i < 10; i++ {
+		tr := triples[i*17]
+		if _, err := st.Delete(tr.S, tr.P, tr.O); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Insert(Triple{S: tr.S, P: tr.P, O: ID(i % 8), Score: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
 // BenchmarkMatchList measures the indexed fast paths; run with -benchmem to
-// see the 0 allocs/op.
+// see the 0 allocs/op (the S+O case allocates its drained list).
 func BenchmarkMatchList(b *testing.B) {
 	st := randomStore(b, 5, 20000)
 	shapes := []struct {
@@ -558,7 +526,8 @@ func BenchmarkMatchList(b *testing.B) {
 		{"O", NewPattern(Var("s"), Var("p"), Const(ID(1)))},
 		{"SPO", NewPattern(Const(ID(1)), Const(ID(1)), Const(ID(2)))},
 		{"scan", NewPattern(Var("s"), Var("p"), Var("o"))},
-		{"residual-warm", NewPattern(Const(ID(1)), Var("p"), Const(ID(2)))},
+		// A filtered run drained into a fresh slice on every call.
+		{"S+O", NewPattern(Const(ID(1)), Var("p"), Const(ID(2)))},
 		// A mid-column predicate inside the hub object's 10 000-entry run:
 		// both binary searches of the composite lookup do real work.
 		{"hub-PO", NewPattern(Var("s"), Const(ID(40)), Const(hubO))},
@@ -570,7 +539,7 @@ func BenchmarkMatchList(b *testing.B) {
 			st = hub
 		}
 		b.Run(sh.name, func(b *testing.B) {
-			st.MatchList(sh.pat) // warm residuals; no-op for fast paths
+			st.MatchList(sh.pat) // builds the full-scan order once
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

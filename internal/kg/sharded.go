@@ -2,7 +2,6 @@ package kg
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -63,12 +62,6 @@ type ShardedStore struct {
 	// version counts live mutations (see Graph.Version).
 	version atomic.Uint64
 
-	// merged caches materialised global match lists for the generic
-	// Graph.MatchList path (cold paths: statistics, oracles), keyed by the
-	// content version so live inserts invalidate it wholesale. The hot query
-	// path never materialises — ShardedListScan merges per-shard views.
-	merged atomic.Pointer[versionedLists]
-
 	// pins counts Pin calls (cumulative; see Store.pins).
 	pins atomic.Int64
 }
@@ -104,13 +97,6 @@ type shardedDir struct {
 	// ops is the sharded store's operation count at publish (see
 	// ShardedStore.ops).
 	ops uint64
-}
-
-// versionedLists pairs a merged-list cache with the content version it was
-// built for.
-type versionedLists struct {
-	version uint64
-	cache   *listCache
 }
 
 // NewShardedStore returns an empty sharded store with n segments using the
@@ -487,54 +473,15 @@ func (ss *ShardedStore) MaxScore(p Pattern) float64 {
 }
 
 // MatchList returns the global indexes of triples matching p in canonical
-// order (score descending, global index ascending on ties). The merged list
-// is materialised once per pattern key behind a single-flight cache keyed by
-// the content version (live inserts start a fresh cache); the hot query path
-// (ShardedListScan) never calls this — it merges the per-shard views.
+// order (score descending, global index ascending on ties), read from one
+// directory snapshot into a fresh slice. The query path (ShardedListScan)
+// never calls it — it merges the per-shard cursors in line.
 func (ss *ShardedStore) MatchList(p Pattern) []int32 {
-	if !ss.frozen {
-		panic("kg: MatchList before Freeze")
-	}
-	v := ss.version.Load()
-	vl := ss.merged.Load()
-	if vl == nil || vl.version < v {
-		// Advance only: a reader carrying a stale version load must not
-		// evict a fresher cache another reader installed. A reader that
-		// loses the race may fill a cache labelled newer than its own
-		// version read; entries are computed from the live directory either
-		// way, and sequential flows (the exactness contract) see one
-		// version at a time.
-		fresh := &versionedLists{version: v, cache: newListCache()}
-		if ss.merged.CompareAndSwap(vl, fresh) {
-			vl = fresh
-		} else {
-			vl = ss.merged.Load()
-		}
-	}
-	return vl.cache.get(p.Key(), func() []int32 { return ss.mergeMatches(p) })
+	return ss.view().MatchList(p)
 }
 
-// mergeMatches translates every shard's match list to global indexes and
-// restores canonical global order. Shard-local indexes not yet covered by
-// the directory snapshot (a concurrent insert between the two loads) are
-// treated as not yet inserted.
-func (ss *ShardedStore) mergeMatches(p Pattern) []int32 {
-	d := ss.dir.Load()
-	var out []int32
-	for si, sh := range ss.shards {
-		glob := d.global[si]
-		for _, li := range sh.MatchList(p) {
-			if int(li) < len(glob) {
-				out = append(out, glob[li])
-			}
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		ta, tb := ss.Triple(out[a]), ss.Triple(out[b])
-		if ta.Score != tb.Score {
-			return ta.Score > tb.Score
-		}
-		return out[a] < out[b]
-	})
-	return out
+// Matches opens a cursor over p's matches on one directory snapshot (see
+// pinnedSharded.Matches).
+func (ss *ShardedStore) Matches(p Pattern) Cursor {
+	return ss.view().Matches(p)
 }

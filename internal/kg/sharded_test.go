@@ -27,7 +27,7 @@ func shardedFrom(t testing.TB, st *Store, n int) *ShardedStore {
 }
 
 // shapePatterns enumerates every pattern shape over the randomStore
-// vocabulary: each posting family, residual shapes, repeated variables and
+// vocabulary: each posting family, filtered shapes, repeated variables and
 // full scans.
 func shapePatterns() []Pattern {
 	var pats []Pattern
@@ -225,30 +225,44 @@ func TestShardedAddRoutesBySubject(t *testing.T) {
 	}
 }
 
-// TestShardedMatchListAllocs guards the sharded MatchList read path: after
-// the first (materialising) call, repeated lookups are cache hits with zero
-// allocations, matching the flat store's zero-alloc posting views.
-func TestShardedMatchListAllocs(t *testing.T) {
+// TestShardedCursorAllocs guards the sharded read path the merged scan
+// uses: once each shard's full-scan order exists, opening and draining every
+// shard view's cursor allocates nothing, and the shards' matches add up to
+// the flat store's.
+func TestShardedCursorAllocs(t *testing.T) {
 	st := randomStore(t, 31, 400)
 	ss := shardedFrom(t, st, 4)
 	pats := shapePatterns()
 	for _, p := range pats {
-		ss.MatchList(p) // materialise and cache
+		shardMatches(ss, p)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		for _, p := range pats {
-			if len(ss.MatchList(p)) != st.Cardinality(p) {
-				t.Fatal("sharded match list diverged")
+			if shardMatches(ss, p) != st.Cardinality(p) {
+				t.Fatal("sharded cursors diverged")
 			}
 		}
 	}); allocs != 0 {
-		t.Fatalf("warm sharded MatchList: %v allocs per sweep, want 0", allocs)
+		t.Fatalf("sharded cursor drains: %v allocs per sweep, want 0", allocs)
 	}
 }
 
-// BenchmarkShardedMatchList compares warm match-list reads across layouts
-// and shard counts: the flat store's slice view against the sharded store's
-// cached merged view.
+// shardMatches drains every shard view's cursor for p and counts the
+// matches.
+func shardMatches(g ShardedGraph, p Pattern) int {
+	n := 0
+	for i := 0; i < g.NumShards(); i++ {
+		c := g.ShardView(i).Matches(p)
+		for _, ok := c.Next(); ok; _, ok = c.Next() {
+			n++
+		}
+	}
+	return n
+}
+
+// BenchmarkShardedMatchList compares match-list reads across layouts and
+// shard counts: the flat store's slice view against the sharded store's
+// merge of its shards' cursors into a fresh list.
 func BenchmarkShardedMatchList(b *testing.B) {
 	st := randomStore(b, 77, 100000)
 	pat := NewPattern(Var("s"), Const(ID(1)), Var("o"))

@@ -23,10 +23,11 @@ import (
 // any pattern whose bound positions resolve to a single posting — fully
 // bound, (P,O), (S,P), or a single bound position without repeated variables
 // — MatchList is a lock-free, allocation-free slice view of that posting
-// whenever the head is empty. Only residual shapes (S+O-bound intersections,
-// repeated-variable filters, full scans) are computed lazily, behind a
-// sharded single-flight cache; a non-empty head adds a two-source merge of
-// the frozen view with the head's sorted overlay.
+// whenever the head is empty. Every other read goes through Matches: a
+// cursor that merges the main posting, the L1 tier's and the head's sorted
+// overlay on read, filtering the shapes no posting answers exactly
+// (S+O-bound intersections, repeated variables) as it goes. Nothing is
+// cached per pattern.
 //
 // Readers never lock: all queryable state lives in an immutable storeState
 // snapshot behind an atomic pointer. Insert and Compact build a new snapshot
@@ -81,9 +82,6 @@ type Store struct {
 	// pins counts Pin calls (snapshot views handed out). Views are garbage
 	// collected, not released, so this is a cumulative taken-counter.
 	pins atomic.Int64
-	// residualComputes counts residual-list computations across the store's
-	// lifetime, for tests asserting the cache's single-flight guarantee.
-	residualComputes atomic.Int64
 }
 
 // CompactionStats reports per-tier compaction counts and cumulative
@@ -181,16 +179,12 @@ type storeState struct {
 	// headDup it may over-approximate once deletes retract one of the
 	// copies — which costs operators a dedup map, never correctness.
 	crossDup bool
-	// merged lazily caches merged (frozen ⊕ L1 ⊕ head, tombstone-masked)
-	// match lists for this snapshot (nil until the first merged lookup;
-	// dropped wholesale when the next mutation publishes a new snapshot).
-	merged atomic.Pointer[listCache]
 	// heads lazily indexes the head overlay by subject and by object for
 	// probes (nil until the first probe of a snapshot with a head).
 	heads atomic.Pointer[headIndex]
 	// killedBits lazily marks the frozen entries a pending tombstone
-	// retracts, one bit per triple index (nil until the first probe of a
-	// snapshot with tombstones).
+	// retracts, one bit per triple index (nil until the first read of a
+	// snapshot with tombstones that needs it).
 	killedBits atomic.Pointer[[]uint64]
 }
 
@@ -209,24 +203,17 @@ func (s *storeState) fastRead() bool {
 	return len(s.headSorted) == 0 && s.l1 == nil && len(s.tombs) == 0
 }
 
-// killed reports whether the triple at index ti is retracted by a pending
-// tombstone. Entries annihilated at earlier merges never reach this check —
-// they are absent from every arena.
-func (s *storeState) killed(ti int32) bool {
-	if len(s.tombs) == 0 {
-		return false
-	}
-	w, ok := s.tombs[s.triples[ti].key()]
-	return ok && ti < w
-}
-
 // killedSet returns the snapshot's retracted frozen entries as a bitmap
-// over triple indexes, building it on first use: one pass over the pending
-// tombstones, each a key run lookup per frozen segment. A probe tests its
-// candidates against it with a load each instead of a map lookup on the
-// candidate's key, which is the larger cost once a snapshot holds
-// tombstones and a query probes thousands of candidates.
+// over triple indexes, nil when no tombstone is pending. It is built on
+// first use: one pass over the pending tombstones, each a key run lookup
+// per frozen segment. Cursors and probes
+// test their entries against it with a load each instead of a map lookup
+// on the entry's key, which is the larger cost once a snapshot holds
+// tombstones and a query reads thousands of entries.
 func (s *storeState) killedSet() []uint64 {
+	if len(s.tombs) == 0 {
+		return nil
+	}
 	if b := s.killedBits.Load(); b != nil {
 		return *b
 	}
@@ -249,40 +236,21 @@ func (s *storeState) killedSet() []uint64 {
 	return b
 }
 
-// filterLive drops pending-tombstone-retracted entries from a canonical
-// list, returning l itself when nothing is retracted.
-func (s *storeState) filterLive(l []int32) []int32 {
-	if len(s.tombs) == 0 {
-		return l
-	}
-	for i, ti := range l {
-		if s.killed(ti) {
-			out := make([]int32, 0, len(l)-1)
-			out = append(out, l[:i]...)
-			for _, tj := range l[i+1:] {
-				if !s.killed(tj) {
-					out = append(out, tj)
-				}
-			}
-			return out
-		}
-	}
-	return l
-}
-
-// liveKeyCount counts the frozen segments' surviving copies of key k.
+// liveKeyCount counts the frozen segments' surviving copies of key k: a
+// pending tombstone on k retracts the copies below its watermark. Reads
+// test the snapshot's killedSet bitmap instead of the tombstone map.
 func (s *storeState) liveKeyCount(k [3]ID) int {
+	w, dead := s.tombs[k]
 	n := 0
-	count := func(po *postings) {
+	for _, po := range [2]*postings{s.post, s.l1} {
+		if po == nil {
+			continue
+		}
 		for _, ti := range po.keyRun(k) {
-			if !s.killed(ti) {
+			if !dead || ti >= w {
 				n++
 			}
 		}
-	}
-	count(s.post)
-	if s.l1 != nil {
-		count(s.l1)
 	}
 	return n
 }
@@ -370,7 +338,7 @@ func (st *Store) Freeze() {
 	st.triples = nil
 	st.live.Store(&storeState{
 		triples: triples,
-		post:    buildPostings(triples, 0, nil, nil, &st.residualComputes),
+		post:    buildPostings(triples, 0, nil, nil),
 		ops:     uint64(len(triples)),
 	})
 	st.frozen = true
@@ -711,10 +679,10 @@ func (st *Store) runMerge(full bool) {
 	}
 	var post, l1 *postings
 	if full {
-		post = buildPostings(s.triples, 0, prevDead, s.tombs, &st.residualComputes)
+		post = buildPostings(s.triples, 0, prevDead, s.tombs)
 	} else {
 		post = s.post
-		l1 = buildPostings(s.triples, int32(len(s.post.triples)), prevDead, s.tombs, &st.residualComputes)
+		l1 = buildPostings(s.triples, int32(len(s.post.triples)), prevDead, s.tombs)
 	}
 	coverage := len(s.triples)
 
@@ -820,146 +788,47 @@ func (st *Store) state() *storeState {
 }
 
 // MatchList returns the indexes of triples matching p, sorted by raw score
-// descending (ties broken by triple index for determinism). For indexed
-// shapes with an empty head this is a zero-allocation, lock-free view of a
-// posting; residual shapes are computed once per segment generation and
-// cached; a non-empty head produces a merged list cached per snapshot. The
-// result must not be mutated by callers.
+// descending (ties broken by triple index for determinism). When the main
+// segment's run is the whole answer — no head, L1 tier or pending tombstone,
+// and a shape that needs no filter — it is a zero-allocation, lock-free view
+// of that run; otherwise it drains Matches into a fresh slice. The result
+// must not be mutated by callers.
 func (st *Store) MatchList(p Pattern) []int32 {
 	return st.state().matchList(p)
 }
 
 func (s *storeState) matchList(p Pattern) []int32 {
 	if s.fastRead() {
-		return s.post.matchList(p)
-	}
-	c := s.merged.Load()
-	if c == nil {
-		c = newListCache()
-		if !s.merged.CompareAndSwap(nil, c) {
-			c = s.merged.Load()
+		if l, filter := s.post.matches(p); !filter {
+			return l
 		}
 	}
-	return c.get(p.Key(), func() []int32 { return s.computeMerged(p) })
+	return s.cursor(p).appendTo(nil)
 }
 
-// computeMerged merges the main segment's (tombstone-masked) match list with
-// the L1 tier's and the head's matches, in canonical order. Each source's
-// internal order is already canonical, and sources are index-disjoint, so a
-// pairwise canonical merge is exact: on equal scores the index tiebreak
-// interleaves them deterministically.
-func (s *storeState) computeMerged(p Pattern) []int32 {
-	merged := s.filterLive(s.post.matchList(p))
-	if s.l1 != nil {
-		merged = s.merge2(merged, s.filterLive(s.l1.matchList(p)))
-	}
-	var head []int32
-	for _, hi := range s.headSorted {
-		if p.Matches(s.triples[hi].triple()) {
-			head = append(head, hi)
-		}
-	}
-	return s.merge2(merged, head)
-}
-
-// merge2 merges two canonically-ordered (score descending, index ascending)
-// index-disjoint lists, returning one of them unchanged when the other is
-// empty.
-func (s *storeState) merge2(a, b []int32) []int32 {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		sx, sy := s.triples[x].score(), s.triples[y].score()
-		if sx > sy || (sx == sy && x < y) {
-			out = append(out, x)
-			i++
-		} else {
-			out = append(out, y)
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+// Matches opens a cursor over p's matches on the store's current snapshot,
+// in MatchList's order.
+func (st *Store) Matches(p Pattern) Cursor {
+	return st.state().cursor(p)
 }
 
 // Cardinality returns the number of triples matching p, head included,
 // without materialising a merged list.
 func (st *Store) Cardinality(p Pattern) int {
-	return st.state().cardinality(p)
-}
-
-// cardinality counts the snapshot's live matches of p without materialising
-// a merged list.
-func (s *storeState) cardinality(p Pattern) int {
-	n := s.countLive(s.post.matchList(p))
-	if s.l1 != nil {
-		n += s.countLive(s.l1.matchList(p))
-	}
-	for _, hi := range s.headSorted {
-		if p.Matches(s.triples[hi].triple()) {
-			n++
-		}
-	}
-	return n
-}
-
-// countLive counts a canonical list's entries not retracted by a pending
-// tombstone, allocation-free.
-func (s *storeState) countLive(l []int32) int {
-	if len(s.tombs) == 0 {
-		return len(l)
-	}
-	n := 0
-	for _, ti := range l {
-		if !s.killed(ti) {
-			n++
-		}
-	}
-	return n
+	return st.state().cursor(p).count()
 }
 
 // MaxScore returns the maximum raw score among matches of p, or 0 if there
-// are no matches. Per Definition 5 this is the normalisation constant. The
-// frozen side is an O(1) head lookup of the score-sorted posting; the head
-// overlay is scanned in score order until its first match.
+// are no matches. Per Definition 5 this is the normalisation constant: the
+// score of the first match in canonical order.
 func (st *Store) MaxScore(p Pattern) float64 {
 	return st.state().maxScore(p)
 }
 
-// maxScore computes the snapshot's Definition 5 normalisation constant. Each
-// source is score-sorted, so only its first live match matters; the head is
-// physically delete-free, so its first match is live by construction.
 func (s *storeState) maxScore(p Pattern) float64 {
-	max := 0.0
-	firstLive := func(l []int32) {
-		for _, ti := range l {
-			if !s.killed(ti) {
-				if sc := s.triples[ti].score(); sc > max {
-					max = sc
-				}
-				return
-			}
-		}
+	c := s.cursor(p)
+	if ti, ok := c.Next(); ok {
+		return s.triples[ti].score()
 	}
-	firstLive(s.post.matchList(p))
-	if s.l1 != nil {
-		firstLive(s.l1.matchList(p))
-	}
-	for _, hi := range s.headSorted {
-		if t := s.triples[hi].triple(); p.Matches(t) {
-			if t.Score > max {
-				max = t.Score
-			}
-			break
-		}
-	}
-	return max
+	return 0
 }

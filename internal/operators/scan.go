@@ -2,6 +2,7 @@ package operators
 
 import (
 	"fmt"
+	"math"
 
 	"specqp/internal/kg"
 	"specqp/internal/trace"
@@ -27,9 +28,11 @@ type ListScan struct {
 	mask    uint32
 	counter *Counter
 
-	list []int32
-	max  float64
-	pos  int
+	// cur reads the matches and Reset rewinds it to open. A sharded
+	// sub-scan skips indexes from limit on, which its directory lacks yet.
+	open, cur kg.Cursor
+	limit     int32
+	max       float64
 	// headIdx is the store-local index of the triple behind the current head
 	// and head its score — the tiebreak ShardedListScan needs to interleave
 	// per-shard sub-scans in exact global order.
@@ -77,27 +80,29 @@ const (
 // OR-ed into every entry's Relaxed field (0 for originals, 1<<patternIdx for
 // relaxations). vs must be the variable set of the enclosing query.
 //
-// The argument order below is load-bearing on live stores: the match list is
-// loaded before the normalisation constant, and triples are only ever
-// appended, so MaxScore — from the same or a newer snapshot — always covers
-// every raw score in the captured list. Normalised scores therefore never
-// exceed weight even when an insert races the construction.
+// The argument order below is load-bearing on live stores: the match cursor
+// is opened before the normalisation constant is loaded, and triples are
+// only ever appended, so MaxScore — from the same or a newer snapshot —
+// always covers every raw score the cursor reads. Normalised scores
+// therefore never exceed weight even when an insert races the construction.
 func NewListScan(store kg.Graph, vs *kg.VarSet, p kg.Pattern, weight float64, mask uint32, c *Counter) *ListScan {
-	list := store.MatchList(p)
-	return newListScanOver(store, vs, p, weight, mask, c, list, store.MaxScore(p))
+	cur := store.Matches(p)
+	return newListScanOver(store, vs, p, weight, mask, c, cur, store.MaxScore(p), math.MaxInt32)
 }
 
-// newListScanOver builds a scan over an explicit match list and an explicit
-// normalisation constant. ShardedListScan uses it to run each per-shard
-// sub-scan against the shard's zero-alloc list view while normalising by the
-// global maximum, so sub-scan scores equal the unsharded scan's exactly.
-func newListScanOver(store kg.Graph, vs *kg.VarSet, p kg.Pattern, weight float64, mask uint32, c *Counter, list []int32, max float64) *ListScan {
+// newListScanOver builds a scan over an explicit match cursor, an explicit
+// normalisation constant and an index limit. ShardedListScan uses it to run
+// each per-shard sub-scan against the shard's cursor while normalising by
+// the global maximum, so sub-scan scores equal the unsharded scan's exactly.
+func newListScanOver(store kg.Graph, vs *kg.VarSet, p kg.Pattern, weight float64, mask uint32, c *Counter, cur kg.Cursor, max float64, limit int32) *ListScan {
 	s := &ListScan{
 		store:   store,
 		weight:  weight,
 		mask:    mask,
 		counter: c,
-		list:    list,
+		open:    cur,
+		cur:     cur,
+		limit:   limit,
 		max:     max,
 		scratch: kg.NewBinding(vs.Len()),
 		arena:   bindingArena{ws: c.Workspace()},
@@ -138,8 +143,10 @@ func newListScanOver(store kg.Graph, vs *kg.VarSet, p kg.Pattern, weight float64
 		// stay on the packed, allocation-free path.
 		s.keyer = kg.NewProjKeyer(s.touched)
 	}
-	if len(s.list) > 0 && s.max > 0 {
-		s.top = weight * store.Triple(s.list[0]).Score / s.max
+	if first := cur; s.max > 0 {
+		if ti, ok := first.Next(); ok {
+			s.top = weight * store.Triple(ti).Score / s.max
+		}
 	}
 	s.last = s.top
 	if c.Tracing() {
@@ -188,12 +195,13 @@ func (s *ListScan) bind(t kg.Triple) bool {
 
 // advance moves the scan to its next entry without handing it off: the
 // entry's binding is left in the scratch slot (view) and its score is
-// returned. ok is false when the list is exhausted.
+// returned. ok is false when the cursor is exhausted.
 func (s *ListScan) advance() (float64, bool) {
-	for s.pos < len(s.list) {
-		ti := s.list[s.pos]
+	for ti, ok := s.cur.Next(); ok; ti, ok = s.cur.Next() {
+		if ti >= s.limit {
+			continue
+		}
 		t := s.store.Triple(ti)
-		s.pos++
 		s.stats.Pull()
 		if !s.bind(t) {
 			continue
@@ -237,9 +245,9 @@ func (s *ListScan) Next() (Entry, bool) {
 }
 
 // Reset implements Resettable. It invalidates entries previously returned by
-// Next: their bindings are reused by the next pass over the list.
+// Next: their bindings are reused by the next pass over the matches.
 func (s *ListScan) Reset() {
-	s.pos = 0
+	s.cur = s.open
 	s.last = s.top
 	s.arena.reset()
 	if s.keyer != nil {

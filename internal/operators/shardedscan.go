@@ -6,9 +6,9 @@ import (
 )
 
 // ShardedListScan streams the matches of one triple pattern over a
-// kg.ShardedStore: one ListScan per non-empty shard — each a zero-alloc view
-// of that shard's Freeze-sorted posting, normalised by the *global* maximum
-// score — interleaved by a k-way heap on (raw score descending, global triple
+// kg.ShardedStore: one ListScan per non-empty shard — each reading that
+// shard's match cursor, normalised by the *global* maximum score —
+// interleaved by a k-way heap on (raw score descending, global triple
 // index ascending). Because a shard's local order is the global insertion
 // order restricted to that shard, the merged sequence is exactly the
 // unsharded ListScan's emission sequence: same entries, same order, same
@@ -70,58 +70,42 @@ func (h shardHead) heapLess(o shardHead) bool {
 }
 
 // NewShardedListScan builds the merged scan. Parameters mirror NewListScan.
-// The store may be a live *kg.ShardedStore or a pinned view of one; pinned
-// shard views serve pre-clamped lists, so the out-of-bounds trim below never
-// fires for them.
+// The store may be a live *kg.ShardedStore or a pinned view of one. On a
+// live store an insert between a shard's cursor and its directory table
+// can leave the shard momentarily ahead of the table; each sub-scan skips
+// the local indexes the table does not map yet as it reads (its TopScore
+// may still count one, which only loosens that bound). A pinned view's
+// shards never run ahead.
 func NewShardedListScan(ss kg.ShardedGraph, vs *kg.VarSet, p kg.Pattern, weight float64, mask uint32, c *Counter) *ShardedListScan {
 	s := &ShardedListScan{counter: c}
-	type shardList struct {
+	type shardCursor struct {
 		sh   kg.Graph
 		glob []int32
-		list []int32
+		cur  kg.Cursor
 	}
-	lists := make([]shardList, 0, ss.NumShards())
+	curs := make([]shardCursor, 0, ss.NumShards())
 	for si := 0; si < ss.NumShards(); si++ {
 		sh := ss.ShardView(si)
 		glob := ss.GlobalIndexes(si)
-		list := sh.MatchList(p)
-		// A live insert between the two loads above can leave the shard
-		// momentarily ahead of the directory snapshot; local indexes without
-		// a global mapping yet are treated as not-yet-inserted. Quiescent
-		// stores never take the copy, keeping the frozen path zero-alloc.
-		oob := false
-		for _, li := range list {
-			if int(li) >= len(glob) {
-				oob = true
-				break
-			}
-		}
-		if oob {
-			trimmed := make([]int32, 0, len(list))
-			for _, li := range list {
-				if int(li) < len(glob) {
-					trimmed = append(trimmed, li)
-				}
-			}
-			list = trimmed
-		}
-		if len(list) == 0 {
+		cur := sh.Matches(p)
+		if cur.Empty() {
 			continue
 		}
-		lists = append(lists, shardList{sh: sh, glob: glob, list: list})
+		curs = append(curs, shardCursor{sh: sh, glob: glob, cur: cur})
 	}
-	// The normalisation constant is loaded AFTER the lists: triples are only
-	// ever appended, so each shard's current maximum covers every raw score
-	// in its (possibly older) captured list — emitted normalised scores can
-	// never exceed the weight even when an insert races the construction.
-	// At quiescence this is exactly the flat scan's global maximum.
+	// The normalisation constant is loaded AFTER the cursors: triples are
+	// only ever appended, so each shard's current maximum covers every raw
+	// score its (possibly older) cursor reads — emitted normalised scores
+	// can never exceed the weight even when an insert races the
+	// construction. At quiescence this is exactly the flat scan's global
+	// maximum.
 	max := ss.MaxScore(p)
-	for _, sl := range lists {
+	for _, sc := range curs {
 		// Sub-scans carry a nil counter: the merge counts post-dedup
 		// emissions, exactly like the unsharded scan.
-		sub := newListScanOver(sl.sh, vs, p, weight, mask, nil, sl.list, max)
+		sub := newListScanOver(sc.sh, vs, p, weight, mask, nil, sc.cur, max, int32(len(sc.glob)))
 		s.subs = append(s.subs, sub)
-		s.glob = append(s.glob, sl.glob)
+		s.glob = append(s.glob, sc.glob)
 		if sub.top > s.top {
 			s.top = sub.top
 		}
@@ -256,7 +240,8 @@ func (s *ShardedListScan) Reset() {
 // NewPatternScan builds the appropriate scan for the store layout: a merged
 // per-shard scan over a multi-segment ShardedStore, a plain ListScan
 // otherwise. Both stream the same entries in the same order; the sharded
-// variant just never materialises a merged list.
+// variant merges the shards' cursors in line instead of reading one merged
+// list.
 func NewPatternScan(g kg.Graph, vs *kg.VarSet, p kg.Pattern, weight float64, mask uint32, c *Counter) Stream {
 	if ss, ok := g.(kg.ShardedGraph); ok && ss.NumShards() > 1 {
 		return NewShardedListScan(ss, vs, p, weight, mask, c)

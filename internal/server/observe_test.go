@@ -278,7 +278,7 @@ func TestHealthzEngineStats(t *testing.T) {
 	if eng["durable"].(bool) {
 		t.Fatal("flat engine reported durable")
 	}
-	for _, key := range []string{"head_len", "l1_len", "tombstones", "list_cache_hits", "list_cache_misses"} {
+	for _, key := range []string{"head_len", "l1_len", "tombstones"} {
 		if _, ok := eng[key]; !ok {
 			t.Fatalf("engine block missing %q: %v", key, eng)
 		}
@@ -390,7 +390,6 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		"specqp_slow_queries_logged_total",
 		"specqp_engine_live_triples", "specqp_engine_head_len",
 		"specqp_engine_compactions_total", "specqp_engine_pinned_snapshots_total",
-		"specqp_engine_list_cache_hits_total",
 		"specqp_query_latency_us_bucket", "specqp_first_answer_latency_us_bucket",
 	} {
 		if !seen[want] {

@@ -846,7 +846,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeEngineText renders the engine-internals gauges and counters in
-// Prometheus text exposition format. Store/cache lines always appear; the
+// Prometheus text exposition format. Store lines always appear; the
 // WAL family appears only on durable engines (so a non-durable server's
 // exposition carries no dead zero series).
 func writeEngineText(w io.Writer, es specqp.EngineStats) {
@@ -860,8 +860,6 @@ func writeEngineText(w io.Writer, es specqp.EngineStats) {
 	fmt.Fprintf(w, "specqp_engine_compaction_us_total{tier=\"full\"} %d\n", es.CompactionFullNS/1e3)
 	fmt.Fprintf(w, "specqp_engine_compaction_us_total{tier=\"l1\"} %d\n", es.CompactionTieredNS/1e3)
 	fmt.Fprintf(w, "specqp_engine_pinned_snapshots_total %d\n", es.PinnedSnapshots)
-	fmt.Fprintf(w, "specqp_engine_list_cache_hits_total %d\n", es.ListCacheHits)
-	fmt.Fprintf(w, "specqp_engine_list_cache_misses_total %d\n", es.ListCacheMisses)
 	if !es.Durable {
 		return
 	}

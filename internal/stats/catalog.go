@@ -96,7 +96,8 @@ func (c EstimatedCounter) QueryCount(q kg.Query) int {
 
 func (c EstimatedCounter) distinctValues(p kg.Pattern, v string) int {
 	seen := map[kg.ID]bool{}
-	for _, ti := range c.Store.MatchList(p) {
+	cur := c.Store.Matches(p)
+	for ti, ok := cur.Next(); ok; ti, ok = cur.Next() {
 		t := c.Store.Triple(ti)
 		if p.S.IsVar && p.S.Name == v {
 			seen[t.S] = true

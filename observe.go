@@ -40,11 +40,6 @@ type EngineStats struct {
 	// still reads them, and are left out of the JSON form.
 	PlanCacheHits   int64 `json:"-"`
 	PlanCacheMisses int64 `json:"-"`
-	// Merged/residual list cache hit accounting. The tallies are
-	// process-wide — cache instances are per-snapshot and dropped wholesale
-	// on version changes.
-	ListCacheHits   int64 `json:"list_cache_hits"`
-	ListCacheMisses int64 `json:"list_cache_misses"`
 
 	// WAL activity; the zero values mean "not a durable engine" (check
 	// Durable, not WALSize — an empty log is legitimately size 0).
@@ -96,7 +91,6 @@ func (e *Engine) Stats() EngineStats {
 		s.CompactionsFull, s.CompactionsTiered, s.CompactionFullNS, s.CompactionTieredNS = g.CompactionStats()
 		s.PinnedSnapshots = g.Pins()
 	}
-	s.ListCacheHits, s.ListCacheMisses = kg.ListCacheStats()
 	if w := e.wal; w != nil {
 		s.Durable = true
 		s.WALLastSeq = w.log.LastSeq()

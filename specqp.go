@@ -45,9 +45,9 @@ type (
 	// segments, serving queries with per-shard merged scans.
 	ShardedStore = kg.ShardedStore
 	// Graph is the read interface implemented by Store and ShardedStore:
-	// the ten primitives (Dict, Len, Frozen, Triple, MatchList, Cardinality,
-	// MaxScore, HasDuplicates, Version, Pin) the operators, the statistics
-	// catalog and the engine read.
+	// the eleven primitives (Dict, Len, Frozen, Triple, Matches, MatchList,
+	// Cardinality, MaxScore, HasDuplicates, Version, Pin) the operators, the
+	// statistics catalog and the engine read.
 	Graph = kg.Graph
 	// LiveGraph is the mutable extension of Graph: post-freeze mutations
 	// applied into per-segment mutable heads, merged by Compact. Both store
